@@ -1,68 +1,33 @@
 """General stochastic rumour model with ignorant / uninterested / spreader /
 stifler classes: exact asymptotic limits, CLT covariance, and reproducible
-Monte Carlo verification."""
+Monte Carlo verification.
 
-from rumour.clt import (
-    CltConstants,
-    CovMatrix2,
-    FluidPoint,
-    clt_constants,
-    fluid_trajectory,
-    lambda_matrix,
-    numerical_lambda_via_ode,
-    sigma_closed_form,
-    sigma_from_lambda,
-    sigma_matrix,
-    t_infinity,
-)
-from rumour.errors import (
-    ConstraintViolation,
-    DomainError,
-    IntegrationFailure,
-    NoBracket,
-    NotApplicable,
-    RumourError,
-    ThetaBoundary,
-    TooLarge,
-)
-from rumour.limits import (
-    LimitResult,
-    argmax_f,
-    f0_eval,
-    f1_eval,
-    f_eval,
-    f_theta_eval,
-    lambert_w0,
-    lambert_wm1,
-    solve_x_infinity,
-    u_infinity,
-    x_infinity_closed_form,
-)
-from rumour.model import (
-    PRESETS,
-    ModelParams,
-    PopulationState,
-    TransitionRates,
-    preset_params,
-    transition_rates,
-    validate_params,
-)
-from rumour.simulate import (
-    ExactDistribution,
-    GofResult,
-    McStats,
-    ReplicationBlock,
-    SimulationOutcome,
-    VerificationReport,
-    VerifyConfig,
-    exact_final_distribution,
-    final_state_counts,
-    goodness_of_fit,
-    iter_final_states,
-    monte_carlo,
-    run_one,
-    verify,
-    write_replications_csv,
-)
+The names in __all__ are the library API; everything else is imported from
+its submodule (rumour.model, rumour.limits, rumour.clt, rumour.simulate,
+rumour.errors, rumour.cli).
+"""
+
+from rumour import jsonio
+from rumour.clt import clt_constants, numerical_lambda_via_ode, sigma_from_lambda, sigma_matrix
+from rumour.limits import solve_x_infinity, x_infinity_closed_form
+from rumour.model import ModelParams, preset_params
+from rumour.simulate import McStats, iter_final_states, monte_carlo, verify, write_replications_csv
+
+__all__ = [
+    "ModelParams",
+    "preset_params",
+    "solve_x_infinity",
+    "x_infinity_closed_form",
+    "clt_constants",
+    "sigma_matrix",
+    "sigma_from_lambda",
+    "numerical_lambda_via_ode",
+    "McStats",
+    "iter_final_states",
+    "monte_carlo",
+    "verify",
+    "write_replications_csv",
+    "jsonio",
+]
 
 __version__ = "0.1.0"

@@ -78,9 +78,30 @@ def _load_config(ns) -> dict:
     return cfg
 
 
+# Keys that hold integers; preset and mode hold strings, every other key
+# a real number.
+_INT_KEYS = ("n", "reps", "seed", "workers")
+_STR_KEYS = ("preset", "mode")
+
+
 def _merged(ns, cfg: dict, key: str, attr: str | None = None):
+    """The flag's value, else the config file's, else None, converted to
+    the key's type.  A value of the wrong type ("abc" for a number, 2.7 for
+    an integer) is a usage error naming the key."""
     val = getattr(ns, attr or key, None)
-    return val if val is not None else cfg.get(key)
+    if val is None:
+        val = cfg.get(key)
+    if val is None or key in _STR_KEYS:
+        return val
+    kind = int if key in _INT_KEYS else float
+    try:
+        out = kind(val)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or (kind is int and isinstance(val, float) and out != val):
+        what = "an integer" if kind is int else "a number"
+        raise UsageError(f"--{key} must be {what}, got {val!r}")
+    return out
 
 
 def _resolve_params(ns, cfg: dict) -> tuple[ModelParams, dict | None]:
@@ -94,7 +115,7 @@ def _resolve_params(ns, cfg: dict) -> tuple[ModelParams, dict | None]:
         "delta": _merged(ns, cfg, "delta"),
     }
     if preset is not None:
-        info = PRESETS.get(preset)
+        info = PRESETS.get(preset) if isinstance(preset, str) else None
         if info is None:
             raise UsageError(f"--preset {preset!r} unknown; known: {', '.join(sorted(PRESETS))}")
         clash = [k for k, v in direct.items() if v is not None and k not in info.aux]
@@ -107,7 +128,7 @@ def _resolve_params(ns, cfg: dict) -> tuple[ModelParams, dict | None]:
             val = _merged(ns, cfg, name)
             if val is None:
                 raise UsageError(f"--preset {preset} needs --{name}")
-            aux[name] = float(val)
+            aux[name] = val
         return preset_params(preset, **aux), {"preset": preset, **aux}
     missing = [k for k, v in direct.items() if v is None]
     if len(missing) == 5:
@@ -117,18 +138,23 @@ def _resolve_params(ns, cfg: dict) -> tuple[ModelParams, dict | None]:
     return ModelParams.from_json_obj(direct), None
 
 
-def _sim_config(ns, cfg: dict) -> tuple[int, int, int, int, str]:
+def _population(ns, cfg: dict) -> int:
     n = _merged(ns, cfg, "n")
     if n is None:
         raise UsageError("--n is required")
-    if int(n) < 1:
+    if n < 1:
         raise UsageError(f"--n must be >= 1, got {n}")
+    return n
+
+
+def _sim_config(ns, cfg: dict) -> tuple[int, int, int, int, str]:
+    n = _population(ns, cfg)
     reps = _merged(ns, cfg, "reps")
-    reps = int(reps) if reps is not None else DEFAULT_REPS
+    reps = reps if reps is not None else DEFAULT_REPS
     if reps < 0:
         raise UsageError(f"--reps must be >= 0, got {reps}")
     seed = _merged(ns, cfg, "seed")
-    seed = int(seed) if seed is not None else DEFAULT_SEED
+    seed = seed if seed is not None else DEFAULT_SEED
     if seed < 0:
         raise UsageError(f"--seed must be a non-negative integer, got {seed}")
     workers = _merged(ns, cfg, "workers")
@@ -137,12 +163,12 @@ def _sim_config(ns, cfg: dict) -> tuple[int, int, int, int, str]:
             workers = int(os.environ.get(WORKERS_ENV, "1"))
         except ValueError:
             raise UsageError(f"${WORKERS_ENV} must be an integer")
-    if int(workers) < 1:
+    if workers < 1:
         raise UsageError(f"--workers must be >= 1, got {workers}")
     mode = _merged(ns, cfg, "mode") or "jump-chain"
     if mode not in sim_mod.MODES:
         raise UsageError(f"--mode must be one of {sim_mod.MODES}, got {mode!r}")
-    return int(n), reps, seed, int(workers), mode
+    return n, reps, seed, workers, mode
 
 
 def _emit(ns, text: str) -> None:
@@ -225,28 +251,21 @@ def cmd_simulate(ns) -> int:
     n, reps, seed, workers, mode = _sim_config(ns, cfg)
     stats = sim_mod.McStats.empty(n, seed)
     tau_sum = 0.0
-    blocks = sim_mod.iter_final_states(n, reps, params, seed, workers, mode)
-    dump_fh = open(ns.dump, "w", newline="") if ns.dump else None
-    try:
-        if dump_fh:
 
-            def folding():
-                nonlocal tau_sum
-                for b in blocks:
-                    stats.add_block(b)
-                    if b.absorption_time is not None:
-                        tau_sum += float(b.absorption_time.sum())
-                    yield b
+    def folded():
+        nonlocal tau_sum
+        for b in sim_mod.iter_final_states(n, reps, params, seed, workers, mode):
+            stats.add_block(b)
+            if b.absorption_time is not None:
+                tau_sum += float(b.absorption_time.sum())
+            yield b
 
-            sim_mod.write_replications_csv(dump_fh, folding())
-        else:
-            for b in blocks:
-                stats.add_block(b)
-                if b.absorption_time is not None:
-                    tau_sum += float(b.absorption_time.sum())
-    finally:
-        if dump_fh:
-            dump_fh.close()
+    if ns.dump:
+        with open(ns.dump, "w", newline="") as fh:
+            sim_mod.write_replications_csv(fh, folded())
+    else:
+        for _ in folded():
+            pass
     obj = _header(echo, params)
     obj["mode"] = mode
     obj["stats"] = stats.to_json_obj()
@@ -281,10 +300,7 @@ def cmd_verify(ns) -> int:
 def cmd_oracle(ns) -> int:
     cfg = _load_config(ns)
     params, echo = _resolve_params(ns, cfg)
-    n = _merged(ns, cfg, "n")
-    if n is None:
-        raise UsageError("--n is required")
-    dist = sim_mod.exact_final_distribution(int(n), params)
+    dist = sim_mod.exact_final_distribution(_population(ns, cfg), params)
     entries = sorted(dist.support())
     if ns.format == "csv":
         lines = ["x,u,p"]
@@ -373,10 +389,7 @@ def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
         return ns.func(ns)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except RumourError as e:
+    except (UsageError, RumourError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

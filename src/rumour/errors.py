@@ -9,10 +9,6 @@ class ConstraintViolation(RumourError, ValueError):
     """A model or preset parameter violates its admissibility constraint."""
 
 
-class ThetaBoundary(RumourError):
-    """Operation requires 0 < theta < 1 but theta sits at a boundary."""
-
-
 class DomainError(RumourError, ValueError):
     """Argument lies outside the mathematical domain of the function."""
 

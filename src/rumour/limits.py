@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from rumour.errors import DomainError, NoBracket, NotApplicable, ThetaBoundary
+from rumour.errors import DomainError, NoBracket, NotApplicable
 from rumour.model import ModelParams
 
 # theta within this distance of a boundary dispatches to f0/f1; below the
@@ -71,56 +71,13 @@ def theta_branch(theta: float) -> int | None:
     return None
 
 
-def f_eval(x: float, p: ModelParams) -> float:
-    """The interior-theta final-size function; only defined for 0 < theta < 1."""
-    th = p.theta
-    if theta_branch(th) is not None:
-        raise ThetaBoundary(
-            f"theta = {th} is at a boundary; use f0_eval/f1_eval instead"
-        )
-    g, d = p.gamma, p.delta
-    return ((g + d * th) * x**th - (g + d) * th * x - g * (1.0 - th)) / (th * (1.0 - th))
-
-
-def f0_eval(x: float, p: ModelParams) -> float:
-    """theta -> 0 limit of f; defined on (0, 1]."""
-    if x <= 0:
-        raise DomainError(f"f0 needs x > 0, got {x!r}")
-    return (p.gamma + p.delta) * (1.0 - x) + p.gamma * math.log(x)
-
-
-def f1_eval(x: float, p: ModelParams) -> float:
-    """theta -> 1 limit of f; defined on (0, 1]."""
-    if x <= 0:
-        raise DomainError(f"f1 needs x > 0, got {x!r}")
-    return -p.gamma * (1.0 - x) - (p.gamma + p.delta) * x * math.log(x)
-
-
-def f_theta_eval(x: float, p: ModelParams) -> float:
-    """f, f0 or f1 according to where theta sits."""
-    b = theta_branch(p.theta)
-    if b == 0:
-        return f0_eval(x, p)
-    if b == 1:
-        return f1_eval(x, p)
-    return f_eval(x, p)
-
-
-def argmax_f(p: ModelParams) -> float:
-    """Interior maximiser of f: ((gamma+delta*theta)/(gamma+delta))**(1/(1-theta))."""
-    th = p.theta
-    if theta_branch(th) is not None:
-        raise ThetaBoundary(f"theta = {th} is at a boundary; no interior-theta argmax")
-    g, d = p.gamma, p.delta
-    return ((g + d * th) / (g + d)) ** (1.0 / (1.0 - th))
-
-
 def _target(p: ModelParams):
     """(f, f', bracket top) for the branch that theta selects.
 
     The bracket top is the interior maximiser: for f0 it is
     gamma/(gamma+delta) (root of f0'), for f1 it is exp(-delta/(gamma+delta))
-    (root of f1'), both strictly above the sought root.
+    (root of f1'), both strictly above the sought root.  f0 and f1 are
+    defined on (0, 1] and raise DomainError below.
     """
     g, d = p.gamma, p.delta
     th = p.theta
@@ -128,6 +85,8 @@ def _target(p: ModelParams):
     if b == 0:
 
         def f(x):
+            if x <= 0:
+                raise DomainError(f"f0 needs x > 0, got {x!r}")
             return (g + d) * (1.0 - x) + g * math.log(x)
 
         def df(x):
@@ -137,6 +96,8 @@ def _target(p: ModelParams):
     elif b == 1:
 
         def f(x):
+            if x <= 0:
+                raise DomainError(f"f1 needs x > 0, got {x!r}")
             return -g * (1.0 - x) - (g + d) * x * math.log(x)
 
         def df(x):
@@ -155,8 +116,14 @@ def _target(p: ModelParams):
         def df(x):
             return (c1 * th * x ** (th - 1.0) - c2) / den
 
-        top = ((g + d * th) / (g + d)) ** (1.0 / (1.0 - th))
+        top = (c1 / (g + d)) ** (1.0 / (1.0 - th))
     return f, df, top
+
+
+def f_theta_eval(x: float, p: ModelParams) -> float:
+    """The final-size function f, f0 or f1 at x, according to where theta
+    sits."""
+    return _target(p)[0](x)
 
 
 def solve_x_infinity(p: ModelParams) -> LimitResult:

@@ -1,4 +1,4 @@
-"""Four-class stochastic rumour model: parameters, states, rates, presets.
+"""Four-class stochastic rumour model: parameters, rate weights, presets.
 
 A closed, homogeneously mixing population of N + 1 individuals splits into
 ignorants (X), uninterested (U), spreaders (Y) and stiflers (Z).  Starting
@@ -109,67 +109,21 @@ class ModelParams:
             raise ConstraintViolation(f"missing parameter key {e.args[0]!r}") from None
 
 
-def validate_params(lam, gamma, theta1, theta2, delta) -> ModelParams:
-    """Validate the five raw numbers; raises ConstraintViolation naming the
-    violated inequality."""
-    return ModelParams(lam=lam, gamma=gamma, theta1=theta1, theta2=theta2, delta=delta)
+def rate_weights(x, y, n: int, p: ModelParams):
+    """The four lambda-free transition weights (w0, w1, w2, w3) at a state;
+    each rate is p.lam times its weight.
 
-
-@dataclass(frozen=True)
-class PopulationState:
-    """Integer counts of the four classes for a population of size n + 1."""
-
-    x: int
-    u: int
-    y: int
-    z: int
-    n: int
-
-    def __post_init__(self):
-        if min(self.x, self.u, self.y, self.z) < 0:
-            raise ConstraintViolation(f"negative count in state {self}")
-        if self.x > self.n:
-            raise ConstraintViolation(f"x = {self.x} exceeds n = {self.n}")
-        if self.x + self.u + self.y + self.z != self.n + 1:
-            raise ConstraintViolation(
-                f"x + u + y + z = {self.x + self.u + self.y + self.z} != n + 1 = {self.n + 1}"
-            )
-
-    @classmethod
-    def initial(cls, n: int) -> "PopulationState":
-        """One spreader amid n ignorants."""
-        return cls(x=n, u=0, y=1, z=0, n=n)
-
-
-@dataclass(frozen=True)
-class TransitionRates:
-    """Rates of the four transitions out of a state; total = 0 iff y = 0."""
-
-    r0: float  # ignorant -> spreader
-    r1: float  # ignorant -> uninterested
-    r2: float  # two spreaders stifle
-    r3: float  # one spreader stifles
-
-    @property
-    def total(self) -> float:
-        return self.r0 + self.r1 + self.r2 + self.r3
-
-
-def transition_rates(state: PopulationState, params: ModelParams) -> TransitionRates:
-    """Evaluate the four transition rates at a state.
-
-    Rates are recomputed fresh from the integer counts (four multiplies);
-    a state with y = 0 is absorbing and yields all-zero rates.
+    Works element-wise on numpy arrays as well as on scalars.  All four
+    are zero iff y = 0 (the absorbing states).  The operation order is
+    part of the contract: the exact oracle and the simulation kernel's
+    inline copy must reproduce these values bit for bit.
     """
-    x, y = state.x, state.y
-    xy = float(x) * float(y)
-    yy1 = float(y) * float(y - 1)
-    return TransitionRates(
-        r0=params.lam * params.delta * xy,
-        r1=params.lam * (1.0 - params.delta) * xy,
-        r2=params.lam * params.theta1 * yy1 / 2.0,
-        r3=params.lam * params.theta2 * yy1
-        + params.lam * params.gamma * float(y) * float(state.n + 1 - x - y),
+    d, g = p.delta, p.gamma
+    return (
+        d * x * y,
+        (1.0 - d) * x * y,
+        p.theta1 * y * (y - 1) / 2.0,
+        p.theta2 * y * (y - 1) + g * y * (n + 1 - x - y),
     )
 
 

@@ -37,7 +37,7 @@ from scipy.stats import chi2 as _chi2_dist
 from rumour.clt import CovMatrix2
 from rumour.errors import TooLarge
 from rumour.limits import LimitResult
-from rumour.model import ModelParams, PopulationState
+from rumour.model import ModelParams, rate_weights
 
 try:
     from numba import njit
@@ -59,6 +59,9 @@ MODES = ("jump-chain", "exact-time")
 _CHUNK_DOUBLES = 1 << 22
 _MAX_CHUNK = 1024
 
+# Largest population the exact oracle accepts; its mass cube is O(n^3).
+EXACT_N_MAX = 60
+
 
 @njit(cache=True, nogil=True)
 def _chunk_kernel(n, delta, gamma, th1, th2, lam, u_sel, u_hold, want_time,
@@ -73,6 +76,9 @@ def _chunk_kernel(n, delta, gamma, th1, th2, lam, u_sel, u_hold, want_time,
         while y > 0:
             fx = float(x)
             fy = float(y)
+            # Inline copy of model.rate_weights: a shared call per jump
+            # costs about a fifth more on the pure-Python fallback.  The
+            # kernel contract test pins this copy to rate_weights bit for bit.
             w0 = delta * fx * fy
             w1 = (1.0 - delta) * fx * fy
             w2 = th1 * fy * (fy - 1.0) * 0.5
@@ -96,16 +102,6 @@ def _chunk_kernel(n, delta, gamma, th1, th2, lam, u_sel, u_hold, want_time,
         out_u[r] = u
         out_j[r] = jumps
         out_t[r] = t
-
-
-@dataclass(frozen=True)
-class SimulationOutcome:
-    """Terminal state of one replication; absorption_time is None in
-    jump-chain mode."""
-
-    final_state: PopulationState
-    jump_count: int
-    absorption_time: float | None
 
 
 @dataclass(frozen=True)
@@ -198,25 +194,13 @@ def iter_final_states(
             yield _run_chunk(n, params, master_seed, mode, *job)
 
 
-def run_one(n: int, params: ModelParams, seed: int, mode: str = "jump-chain") -> SimulationOutcome:
-    """Run a single replication.  Equals replication 0 of a Monte Carlo run
-    with master_seed = seed."""
-    block = next(iter_final_states(n, 1, params, seed, workers=1, mode=mode))
-    x = int(block.x[0])
-    u = int(block.u[0])
-    state = PopulationState(x=x, u=u, y=0, z=n + 1 - x - u, n=n)
-    t = float(block.absorption_time[0]) if block.absorption_time is not None else None
-    return SimulationOutcome(final_state=state, jump_count=int(block.jumps[0]), absorption_time=t)
-
-
 @dataclass
 class McStats:
-    """Mergeable sufficient statistics over replications.
+    """Sufficient statistics over replications.
 
-    Accumulators are exact integers over final *counts*; the fraction-scale
-    sums the estimators need are exposed as properties (sum_x = S_X / n and
-    so on).  Integer accumulation makes merging associative, commutative
-    and bitwise reproducible.
+    Accumulators are exact integers over final *counts*, so the fold is
+    bitwise reproducible whatever the order of blocks; the JSON form
+    reports the fraction-scale sums (sum_x = S_X / n and so on).
     """
 
     reps: int
@@ -232,26 +216,6 @@ class McStats:
     def empty(cls, n: int, master_seed: int) -> "McStats":
         return cls(reps=0, n=n, master_seed=master_seed)
 
-    @property
-    def sum_x(self) -> float:
-        return self.sx / self.n
-
-    @property
-    def sum_u(self) -> float:
-        return self.su / self.n
-
-    @property
-    def sum_xx(self) -> float:
-        return self.sxx / self.n**2
-
-    @property
-    def sum_xu(self) -> float:
-        return self.sxu / self.n**2
-
-    @property
-    def sum_uu(self) -> float:
-        return self.suu / self.n**2
-
     def add_block(self, block: ReplicationBlock) -> None:
         x, u = block.x, block.u
         self.reps += len(x)
@@ -260,22 +224,6 @@ class McStats:
         self.sxx += int(np.dot(x, x))
         self.sxu += int(np.dot(x, u))
         self.suu += int(np.dot(u, u))
-
-    def merge(self, other: "McStats") -> "McStats":
-        if self.n != other.n:
-            raise ValueError(f"cannot merge stats with n = {self.n} and n = {other.n}")
-        if self.master_seed != other.master_seed:
-            raise ValueError("cannot merge stats from different master seeds")
-        return McStats(
-            reps=self.reps + other.reps,
-            n=self.n,
-            master_seed=self.master_seed,
-            sx=self.sx + other.sx,
-            su=self.su + other.su,
-            sxx=self.sxx + other.sxx,
-            sxu=self.sxu + other.sxu,
-            suu=self.suu + other.suu,
-        )
 
     def mean_x(self) -> float:
         return self.sx / (self.reps * self.n)
@@ -304,11 +252,11 @@ class McStats:
             "reps": self.reps,
             "n": self.n,
             "master_seed": self.master_seed,
-            "sum_x": self.sum_x,
-            "sum_u": self.sum_u,
-            "sum_xx": self.sum_xx,
-            "sum_xu": self.sum_xu,
-            "sum_uu": self.sum_uu,
+            "sum_x": self.sx / self.n,
+            "sum_u": self.su / self.n,
+            "sum_xx": self.sxx / self.n**2,
+            "sum_xu": self.sxu / self.n**2,
+            "sum_uu": self.suu / self.n**2,
         }
 
 
@@ -397,21 +345,19 @@ class ExactDistribution:
         return float(self.probs.sum(axis=0) @ np.arange(self.probs.shape[1])) / self.n
 
 
-def exact_final_distribution(n: int, params: ModelParams, n_max: int = 60) -> ExactDistribution:
+def exact_final_distribution(n: int, params: ModelParams) -> ExactDistribution:
     """Propagate probability mass through the jump-chain DAG.
 
     States (X, U, Y) are processed in decreasing (X, then Y) order, which
     is topological: every transition lowers X or keeps X and lowers Y.
     Mass reaching Y = 0 stays there.  The computation never touches
     lambda, so the result is bitwise lambda-invariant.  Memory and time
-    are O(n^3); n_max guards against accidental huge inputs.
+    are O(n^3); EXACT_N_MAX guards against accidental huge inputs.
     """
     if n < 1:
         raise ValueError(f"population parameter must be >= 1, got {n}")
-    if n > n_max:
-        raise TooLarge(f"exact distribution wants n <= {n_max}, got {n}")
-    d, g = params.delta, params.gamma
-    th1, th2 = params.theta1, params.theta2
+    if n > EXACT_N_MAX:
+        raise TooLarge(f"exact distribution wants n <= {EXACT_N_MAX}, got {n}")
     np1 = n + 1
     # mass[x, y, u]; u ranges over 0..n+1 (u <= n in fact, slack is cheap)
     mass = np.zeros((n + 1, n + 2, n + 2))
@@ -421,10 +367,7 @@ def exact_final_distribution(n: int, params: ModelParams, n_max: int = 60) -> Ex
             v = mass[x, y]
             if not v.any():
                 continue
-            w0 = d * x * y
-            w1 = (1.0 - d) * x * y
-            w2 = th1 * y * (y - 1) / 2.0
-            w3 = th2 * y * (y - 1) + g * y * (np1 - x - y)
+            w0, w1, w2, w3 = rate_weights(x, y, n, params)
             w = w0 + w1 + w2 + w3
             if w0 > 0.0:
                 mass[x - 1, y + 1] += (w0 / w) * v

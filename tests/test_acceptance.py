@@ -15,12 +15,12 @@ import numpy as np
 import pytest
 
 from conftest import random_params, rng_for
+from oracles import sigma_closed_form
 from rumour.cli import main as cli_main
 from rumour.clt import (
     clt_constants,
     lambda_matrix,
     numerical_lambda_via_ode,
-    sigma_closed_form,
     sigma_from_lambda,
     sigma_matrix,
 )

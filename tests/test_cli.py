@@ -165,6 +165,12 @@ class TestOracleAndPresets:
         assert code == 2
         assert "60" in err
 
+    def test_oracle_n_below_one_exits_2(self, capsys):
+        for n in ("0", "-2"):
+            code, _, err = run_cli(capsys, "oracle", "--preset", "dk", "--n", n)
+            assert code == 2
+            assert "--n" in err
+
     def test_presets_listing(self, capsys):
         obj = run_json(capsys, "presets")
         names = [e["name"] for e in obj["presets"]]
@@ -199,6 +205,29 @@ class TestConfigAndOutput:
         code, _, err = run_cli(capsys, "limit", "--config", str(cfg))
         assert code == 2
         assert "config" in err
+
+    def test_non_numeric_config_value_exits_2(self, capsys, tmp_path):
+        cases = [
+            ("simulate", {"preset": "dk", "n": "abc"}, "--n"),
+            ("limit", {"preset": "rho", "rho": "zz"}, "--rho"),
+            ("limit", {"lambda": "x", "gamma": 1, "theta1": 1, "theta2": 0, "delta": 1},
+             "--lambda"),
+            ("oracle", {"preset": "dk", "n": [3]}, "--n"),
+        ]
+        for cmd, body, key in cases:
+            cfg = tmp_path / "bad.json"
+            cfg.write_text(json.dumps(body))
+            code, _, err = run_cli(capsys, cmd, "--config", str(cfg))
+            assert code == 2, (cmd, body)
+            assert key in err
+
+    def test_fractional_integer_config_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "frac.json"
+        cfg.write_text(json.dumps({"preset": "dk", "n": 2.7, "reps": 5}))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "--n" in err and "2.7" in err
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "out.json"

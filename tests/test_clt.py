@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import random_params, rng_for
+from oracles import sigma_closed_form
 from rumour.clt import (
     clt_constants,
     fluid_trajectory,
     lambda_matrix,
     numerical_lambda_via_ode,
-    sigma_closed_form,
     sigma_from_lambda,
     sigma_matrix,
     t_infinity,

@@ -74,7 +74,8 @@ def run_case(argv, tmp_dir):
     return code, digests
 
 
-# Recorded before the consolidation refactor; must not change.
+# Recorded before the rate-weight and final-size consolidation; a change
+# of any digest must be deliberate and noted in CHANGES.md.
 GOLDEN = {
     'clt-apq_dk': (0, [
         'cf6ffcbc4e302ed6bafc0dc352f3d95408ff4e096ebb45923e9e7cbc32816b1c',

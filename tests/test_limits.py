@@ -5,12 +5,9 @@ import pytest
 import scipy.special
 
 from conftest import random_params, rng_for
-from rumour.errors import DomainError, NotApplicable, ThetaBoundary
+from rumour.errors import DomainError, NotApplicable
 from rumour.limits import (
-    argmax_f,
-    f0_eval,
-    f1_eval,
-    f_eval,
+    f_theta_eval,
     lambert_w0,
     lambert_wm1,
     solve_x_infinity,
@@ -37,63 +34,55 @@ class TestFFunctions:
         rng = rng_for("f-at-one")
         for _ in range(100):
             p = random_params(rng, theta=float(rng.uniform(0.01, 0.99)))
-            assert abs(f_eval(1.0, p)) <= 1e-13 * max(1.0, p.gamma + p.delta)
+            assert abs(f_theta_eval(1.0, p)) <= 1e-13 * max(1.0, p.gamma + p.delta)
 
     def test_f_at_zero_is_minus_gamma_over_theta(self):
         p = params_theta(gamma=1.3, delta=0.7, theta=0.4)
-        assert math.isclose(f_eval(0.0, p), -1.3 / 0.4, rel_tol=1e-12)
-        assert f_eval(0.0, p) < 0
+        assert math.isclose(f_theta_eval(0.0, p), -1.3 / 0.4, rel_tol=1e-12)
+        assert f_theta_eval(0.0, p) < 0
 
     def test_f_quarter_root_at_theta_half(self):
         p = params_theta(gamma=1.0, delta=1.0, theta=0.5)
-        assert abs(f_eval(0.25, p)) <= 1e-14
-
-    def test_f_rejects_boundary_theta(self):
-        with pytest.raises(ThetaBoundary):
-            f_eval(0.5, preset_params("dk"))
-        with pytest.raises(ThetaBoundary):
-            f_eval(0.5, preset_params("hayes"))
+        assert abs(f_theta_eval(0.25, p)) <= 1e-14
 
     def test_f0_f1_vanish_at_one(self):
         rng = rng_for("f01-at-one")
         for _ in range(50):
             p = random_params(rng)
-            assert f0_eval(1.0, p) == 0.0
-            assert f1_eval(1.0, p) == 0.0
+            for th in (0.0, 1.0):
+                q = params_theta(gamma=p.gamma, delta=p.delta, theta=th)
+                assert f_theta_eval(1.0, q) == 0.0
 
     def test_f0_near_printed_root(self):
         p = preset_params("dk")
-        assert abs(f0_eval(X_INF_RHO, p)) <= 5e-6
+        assert abs(f_theta_eval(X_INF_RHO, p)) <= 5e-6
 
     def test_f1_near_printed_root(self):
         p = preset_params("hayes")
-        assert abs(f1_eval(X_INF_HAYES, p)) <= 5e-6
+        assert abs(f_theta_eval(X_INF_HAYES, p)) <= 5e-6
 
     def test_domain_errors(self):
-        p = preset_params("dk")
         with pytest.raises(DomainError):
-            f0_eval(0.0, p)
+            f_theta_eval(0.0, preset_params("dk"))
         with pytest.raises(DomainError):
-            f1_eval(-0.5, p)
+            f_theta_eval(-0.5, preset_params("hayes"))
 
 
 class TestArgmax:
+    """The solver's bracket top is the interior maximiser of f."""
+
     def test_explicit_value_theta_half(self):
         p = params_theta(gamma=1.0, delta=1.0, theta=0.5)
-        assert math.isclose(argmax_f(p), 0.5625, rel_tol=1e-14)
-
-    def test_boundary_raises(self):
-        with pytest.raises(ThetaBoundary):
-            argmax_f(preset_params("mt"))
+        assert math.isclose(_target(p)[2], 0.5625, rel_tol=1e-14)
 
     def test_f_positive_at_argmax_sweep(self):
         # needed for safe bracketing, any valid interior-theta parameters
         rng = rng_for("argmax-positive")
         for _ in range(1000):
             p = random_params(rng, theta=float(rng.uniform(0.005, 0.995)))
-            m = argmax_f(p)
+            f, _, m = _target(p)
             assert 0.0 < m < 1.0
-            assert f_eval(m, p) > 0.0
+            assert f(m) > 0.0
 
 
 class TestSolver:

@@ -4,28 +4,21 @@ import pytest
 
 from conftest import random_params, rng_for
 from rumour.errors import ConstraintViolation
-from rumour.model import (
-    PRESETS,
-    ModelParams,
-    PopulationState,
-    preset_params,
-    transition_rates,
-    validate_params,
-)
+from rumour.model import PRESETS, ModelParams, preset_params, rate_weights
 
 
 class TestValidation:
     def test_dk_like_is_valid_with_theta_zero(self):
-        p = validate_params(1, 1, 1, 0, 1)
+        p = ModelParams(1, 1, 1, 0, 1)
         assert p.theta == 0.0
 
     def test_hayes_like_is_valid_with_theta_one(self):
-        p = validate_params(1, 1, 2, 0, 1)
+        p = ModelParams(1, 1, 2, 0, 1)
         assert p.theta == 1.0
 
     def test_theta_below_range_rejected(self):
         with pytest.raises(ConstraintViolation, match="theta"):
-            validate_params(1, 1, 0, 0, 1)  # theta = -1
+            ModelParams(1, 1, 0, 0, 1)  # theta = -1
 
     @pytest.mark.parametrize(
         "kwargs,pat",
@@ -60,59 +53,33 @@ class TestValidation:
         assert p.theta == 0.4 + 0.6 - 0.7
 
 
-class TestPopulationState:
-    def test_initial(self):
-        s = PopulationState.initial(10)
-        assert (s.x, s.u, s.y, s.z) == (10, 0, 1, 0)
-
-    def test_conservation_enforced(self):
-        with pytest.raises(ConstraintViolation):
-            PopulationState(x=5, u=0, y=1, z=0, n=10)
-
-    def test_negative_and_x_bound(self):
-        with pytest.raises(ConstraintViolation):
-            PopulationState(x=-1, u=0, y=1, z=11, n=10)
-        with pytest.raises(ConstraintViolation):
-            PopulationState(x=11, u=0, y=0, z=0, n=10)
-
-    def test_transition_deltas_preserve_conservation(self):
-        # the four moves on (x, u, y, z); each re-validates on construction
-        deltas = [(-1, 0, 1, 0), (-1, 1, 0, 0), (0, 0, -2, 2), (0, 0, -1, 1)]
-        s = PopulationState(x=5, u=1, y=3, z=2, n=10)
-        for dx, du, dy, dz in deltas:
-            t = PopulationState(x=s.x + dx, u=s.u + du, y=s.y + dy, z=s.z + dz, n=s.n)
-            assert t.x + t.u + t.y + t.z == s.n + 1
-
-
 class TestTransitionRates:
+    """rate_weights: the lambda-free weights; a rate is lambda * weight."""
+
     def test_dk_state_example(self):
         p = preset_params("dk")
-        s = PopulationState(x=10, u=0, y=3, z=0, n=12)
-        r = transition_rates(s, p)
-        assert (r.r0, r.r1, r.r2, r.r3) == (30.0, 0.0, 3.0, 0.0)
-        assert r.total == 33.0
+        w = rate_weights(10, 3, 12, p)
+        assert w == (30.0, 0.0, 3.0, 0.0)
+        assert p.lam * sum(w) == 33.0
 
     def test_hayes_state_example(self):
         p = preset_params("hayes")
-        s = PopulationState(x=5, u=0, y=2, z=1, n=7)
-        r = transition_rates(s, p)
-        assert (r.r0, r.r1, r.r2, r.r3) == (10.0, 0.0, 2.0, 2.0)
+        assert rate_weights(5, 2, 7, p) == (10.0, 0.0, 2.0, 2.0)
 
     def test_absorbing_state_all_zero(self):
         rng = rng_for("absorbing")
         for _ in range(20):
             p = random_params(rng)
-            s = PopulationState(x=4, u=2, y=0, z=3, n=8)
-            r = transition_rates(s, p)
-            assert r.total == 0.0
+            assert sum(rate_weights(4, 0, 8, p)) == 0.0
 
     def test_total_zero_iff_y_zero(self):
         p = preset_params("mt")
         for y in range(1, 4):
-            s = PopulationState(x=3, u=0, y=y, z=5 - y, n=7)
-            assert transition_rates(s, p).total > 0
+            assert sum(rate_weights(3, y, 7, p)) > 0
 
     def test_homogeneous_in_lambda(self):
+        # the weights never read lambda; rates lambda * w scale with it and
+        # jump-chain probabilities do not move
         rng = rng_for("lambda-homogeneity")
         for _ in range(200):
             base = random_params(rng, lam=1.0)
@@ -124,16 +91,17 @@ class TestTransitionRates:
             n = int(rng.integers(2, 40))
             y = int(rng.integers(1, n))
             x = int(rng.integers(0, n + 1 - y))
-            u = int(rng.integers(0, n + 2 - x - y))
-            s = PopulationState(x=x, u=u, y=y, z=n + 1 - x - u - y, n=n)
-            r1 = transition_rates(s, base)
-            rc = transition_rates(s, scaled)
-            for a, b in zip((r1.r0, r1.r1, r1.r2, r1.r3), (rc.r0, rc.r1, rc.r2, rc.r3)):
+            rng.integers(0, n + 2 - x - y)  # u: the weights do not depend on it
+            w1 = rate_weights(x, y, n, base)
+            wc = rate_weights(x, y, n, scaled)
+            assert w1 == wc
+            r1 = [base.lam * w for w in w1]
+            rc = [scaled.lam * w for w in wc]
+            for a, b in zip(r1, rc):
                 assert math.isclose(c * a, b, rel_tol=1e-12, abs_tol=0.0)
-            if r1.total > 0:
-                # jump-chain probabilities unchanged
-                for a, b in zip((r1.r0, r1.r1, r1.r2, r1.r3), (rc.r0, rc.r1, rc.r2, rc.r3)):
-                    assert math.isclose(a / r1.total, b / rc.total, rel_tol=1e-12, abs_tol=1e-15)
+            if sum(r1) > 0:
+                for a, b in zip(r1, rc):
+                    assert math.isclose(a / sum(r1), b / sum(rc), rel_tol=1e-12, abs_tol=1e-15)
 
     def test_delta_one_never_creates_uninterested(self):
         rng = rng_for("delta-one")
@@ -142,8 +110,17 @@ class TestTransitionRates:
             n = int(rng.integers(2, 30))
             y = int(rng.integers(1, n))
             x = int(rng.integers(0, n + 1 - y))
-            s = PopulationState(x=x, u=0, y=y, z=n + 1 - x - y, n=n)
-            assert transition_rates(s, p).r1 == 0.0
+            assert rate_weights(x, y, n, p)[1] == 0.0
+
+    def test_elementwise_on_arrays(self):
+        rng = rng_for("weights-arrays")
+        p = random_params(rng)
+        n = 30
+        xs = rng.integers(0, n + 1, 50)
+        ys = rng.integers(0, n + 2 - xs)
+        arrays = rate_weights(xs, ys, n, p)
+        for i in range(len(xs)):
+            assert tuple(a[i] for a in arrays) == rate_weights(int(xs[i]), int(ys[i]), n, p)
 
 
 class TestPresets:
