@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -33,50 +34,16 @@ DEFAULT_SEED = 1729
 DEFAULT_REPS = 10_000
 WORKERS_ENV = "RUMOUR_WORKERS"
 
-
-class UsageError(Exception):
-    pass
-
-
-def _add_param_flags(ap: argparse.ArgumentParser) -> None:
-    grp = ap.add_argument_group("model parameters (explicit or preset)")
-    grp.add_argument("--preset", choices=sorted(PRESETS), help="named model preset")
-    grp.add_argument("--lambda", dest="lam", type=float, help="contact rate > 0")
-    grp.add_argument("--gamma", type=float,
-                     help="spreader-stifler multiplier > 0 (kawachi: its gamma)")
-    grp.add_argument("--theta1", type=float, help="both-stifle multiplier >= 0")
-    grp.add_argument("--theta2", type=float, help="one-stifles multiplier >= 0")
-    grp.add_argument("--delta", type=float, help="spreader-conversion probability in (0, 1]")
-    for aux in ("rho", "alpha", "p", "q", "q1", "q2", "r", "beta", "theta"):
-        grp.add_argument(f"--{aux}", type=float, help=f"preset parameter {aux}")
-    ap.add_argument("--config", help="JSON file with the same keys; flags override")
-
-
-def _add_output_flag(ap: argparse.ArgumentParser) -> None:
-    ap.add_argument("--output", help="write to this path instead of stdout")
-
-
-def _add_sim_flags(ap: argparse.ArgumentParser) -> None:
-    ap.add_argument("--n", type=int, help="population parameter N (initial ignorants)")
-    ap.add_argument("--reps", type=int, help=f"replications (default {DEFAULT_REPS})")
-    ap.add_argument("--seed", type=int, help=f"master seed (default {DEFAULT_SEED})")
-    ap.add_argument("--workers", type=int,
-                    help=f"parallel workers (default ${WORKERS_ENV} or 1)")
-    ap.add_argument("--mode", choices=sim_mod.MODES, help="simulation mode (default jump-chain)")
-
-
-def _load_config(ns) -> dict:
-    if not getattr(ns, "config", None):
-        return {}
-    try:
-        with open(ns.config) as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise UsageError(f"--config {ns.config}: {e}")
-    if not isinstance(cfg, dict):
-        raise UsageError(f"--config {ns.config}: expected a JSON object")
-    return cfg
-
+_DIRECT_HELP = {
+    "lambda": "contact rate > 0",
+    "gamma": "spreader-stifler multiplier > 0 (kawachi: its gamma)",
+    "theta1": "both-stifle multiplier >= 0",
+    "theta2": "one-stifles multiplier >= 0",
+    "delta": "spreader-conversion probability in (0, 1]",
+}
+# Auxiliary preset flags in first-use order; kawachi's gamma is --gamma.
+_AUX = tuple(dict.fromkeys(a for info in PRESETS.values() for a in info.aux
+                           if a not in _DIRECT_HELP))
 
 # Keys that hold integers; preset and mode hold strings, every other key
 # a real number.
@@ -84,11 +51,37 @@ _INT_KEYS = ("n", "reps", "seed", "workers")
 _STR_KEYS = ("preset", "mode")
 
 
-def _merged(ns, cfg: dict, key: str, attr: str | None = None):
+class UsageError(Exception):
+    pass
+
+
+def _open_write(flag: str, path: str):
+    """Open a file the CLI writes; a path that cannot be opened is a usage
+    error naming the flag."""
+    try:
+        return open(path, "w", newline="")
+    except OSError as e:
+        raise UsageError(f"{flag} {path}: {e.strerror or e}")
+
+
+def _load_config(path: str | None) -> dict:
+    if not path:
+        return {}
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except (OSError, json.JSONDecodeError) as e:
+        raise UsageError(f"--config {path}: {e}")
+    if not isinstance(cfg, dict):
+        raise UsageError(f"--config {path}: expected a JSON object")
+    return cfg
+
+
+def _merged(ns, cfg: dict, key: str):
     """The flag's value, else the config file's, else None, converted to
     the key's type.  A value of the wrong type ("abc" for a number, 2.7 for
     an integer) is a usage error naming the key."""
-    val = getattr(ns, attr or key, None)
+    val = getattr(ns, key, None)
     if val is None:
         val = cfg.get(key)
     if val is None or key in _STR_KEYS:
@@ -107,13 +100,7 @@ def _merged(ns, cfg: dict, key: str, attr: str | None = None):
 def _resolve_params(ns, cfg: dict) -> tuple[ModelParams, dict | None]:
     """Return (params, preset echo) from flags plus config."""
     preset = _merged(ns, cfg, "preset")
-    direct = {
-        "lambda": _merged(ns, cfg, "lambda", "lam"),
-        "gamma": _merged(ns, cfg, "gamma"),
-        "theta1": _merged(ns, cfg, "theta1"),
-        "theta2": _merged(ns, cfg, "theta2"),
-        "delta": _merged(ns, cfg, "delta"),
-    }
+    direct = {k: _merged(ns, cfg, k) for k in _DIRECT_HELP}
     if preset is not None:
         info = PRESETS.get(preset) if isinstance(preset, str) else None
         if info is None:
@@ -147,12 +134,12 @@ def _population(ns, cfg: dict) -> int:
     return n
 
 
-def _sim_config(ns, cfg: dict) -> tuple[int, int, int, int, str]:
+def _sim_config(ns, cfg: dict, min_reps: int) -> tuple[int, int, int, int, str]:
     n = _population(ns, cfg)
     reps = _merged(ns, cfg, "reps")
     reps = reps if reps is not None else DEFAULT_REPS
-    if reps < 0:
-        raise UsageError(f"--reps must be >= 0, got {reps}")
+    if reps < min_reps:
+        raise UsageError(f"--reps must be >= {min_reps}, got {reps}")
     seed = _merged(ns, cfg, "seed")
     seed = seed if seed is not None else DEFAULT_SEED
     if seed < 0:
@@ -171,84 +158,48 @@ def _sim_config(ns, cfg: dict) -> tuple[int, int, int, int, str]:
     return n, reps, seed, workers, mode
 
 
-def _emit(ns, text: str) -> None:
-    if getattr(ns, "output", None):
-        with open(ns.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+# Each command takes (ns, cfg, params, header) and returns (exit code,
+# text); main writes the text to stdout or --output.
 
 
-def _header(echo, params) -> dict:
-    obj = {}
-    if echo:
-        obj["preset"] = echo
-    obj["params"] = params.to_json_obj()
-    return obj
+def cmd_limit(ns, cfg, params, header) -> tuple[int, str]:
+    return 0, jsonio.dumps({**header, **limits_mod.solve_x_infinity(params).to_json_obj()})
 
 
-def cmd_limit(ns) -> int:
-    cfg = _load_config(ns)
-    params, echo = _resolve_params(ns, cfg)
-    lim = limits_mod.solve_x_infinity(params)
-    obj = _header(echo, params)
-    obj.update(lim.to_json_obj())
-    _emit(ns, jsonio.dumps(obj))
-    return 0
-
-
-def cmd_clt(ns) -> int:
-    cfg = _load_config(ns)
-    params, echo = _resolve_params(ns, cfg)
+def cmd_clt(ns, cfg, params, header) -> tuple[int, str]:
     lim = limits_mod.solve_x_infinity(params)
     consts = clt_mod.clt_constants(params, lim)
     sigma = clt_mod.sigma_matrix(consts, params, lim)
-    obj = _header(echo, params)
-    obj["x_inf"] = lim.x_inf
-    obj["u_inf"] = lim.u_inf
-    obj["kappa"] = consts.kappa
-    obj["A"] = consts.a
-    obj["B"] = consts.b
-    obj["C"] = consts.c
-    obj["D"] = consts.d
-    obj["sigma"] = sigma.to_json_obj()
-    obj["t_inf"] = clt_mod.t_infinity(params, lim)
+    obj = {**header, "x_inf": lim.x_inf, "u_inf": lim.u_inf, "kappa": consts.kappa,
+           "A": consts.a, "B": consts.b, "C": consts.c, "D": consts.d,
+           "sigma": sigma.to_json_obj(), "t_inf": clt_mod.t_infinity(params, lim)}
     if params.delta == 1.0:
         obj["v_inf"] = sigma.s11
     if ns.cross_check:
         closed = clt_mod.lambda_matrix(params, lim, consts)
         ode = clt_mod.numerical_lambda_via_ode(params, lim)
         obj["cross_check"] = {"max_abs_deviation": float(np.abs(closed - ode).max())}
-    _emit(ns, jsonio.dumps(obj))
-    return 0
+    return 0, jsonio.dumps(obj)
 
 
-def cmd_fluid(ns) -> int:
-    cfg = _load_config(ns)
-    params, echo = _resolve_params(ns, cfg)
-    lim = limits_mod.solve_x_infinity(params)
-    t_inf = clt_mod.t_infinity(params, lim)
-    t_max = ns.t_max if ns.t_max is not None else t_inf
+def cmd_fluid(ns, cfg, params, header) -> tuple[int, str]:
     if ns.points < 2:
         raise UsageError("--points must be >= 2")
-    grid = np.linspace(0.0, t_max, ns.points)
+    if ns.t_max is not None and not (math.isfinite(ns.t_max) and ns.t_max >= 0):
+        raise UsageError(f"--t-max must be finite and >= 0, got {ns.t_max}")
+    t_inf = clt_mod.t_infinity(params, limits_mod.solve_x_infinity(params))
+    grid = np.linspace(0.0, t_inf if ns.t_max is None else ns.t_max, ns.points)
     points = clt_mod.fluid_trajectory(grid, params)
     if ns.format == "csv":
         lines = ["t,x,u,y"]
         lines += [f"{pt.t:.17g},{pt.x:.17g},{pt.u:.17g},{pt.y:.17g}" for pt in points]
-        _emit(ns, "\n".join(lines) + "\n")
-    else:
-        obj = _header(echo, params)
-        obj["t_inf"] = t_inf
-        obj["points"] = [{"t": pt.t, "x": pt.x, "u": pt.u, "y": pt.y} for pt in points]
-        _emit(ns, jsonio.dumps(obj))
-    return 0
+        return 0, "\n".join(lines) + "\n"
+    return 0, jsonio.dumps({**header, "t_inf": t_inf, "points": [
+        {"t": pt.t, "x": pt.x, "u": pt.u, "y": pt.y} for pt in points]})
 
 
-def cmd_simulate(ns) -> int:
-    cfg = _load_config(ns)
-    params, echo = _resolve_params(ns, cfg)
-    n, reps, seed, workers, mode = _sim_config(ns, cfg)
+def cmd_simulate(ns, cfg, params, header) -> tuple[int, str]:
+    n, reps, seed, workers, mode = _sim_config(ns, cfg, 0)
     stats = sim_mod.McStats.empty(n, seed)
     tau_sum = 0.0
 
@@ -261,14 +212,12 @@ def cmd_simulate(ns) -> int:
             yield b
 
     if ns.dump:
-        with open(ns.dump, "w", newline="") as fh:
+        with _open_write("--dump", ns.dump) as fh:
             sim_mod.write_replications_csv(fh, folded())
     else:
         for _ in folded():
             pass
-    obj = _header(echo, params)
-    obj["mode"] = mode
-    obj["stats"] = stats.to_json_obj()
+    obj = {**header, "mode": mode, "stats": stats.to_json_obj()}
     if reps >= 1:
         obj["mean_x"] = stats.mean_x()
         obj["mean_u"] = stats.mean_u()
@@ -276,57 +225,68 @@ def cmd_simulate(ns) -> int:
         obj["sigma_emp"] = stats.cov_sqrt_n().to_json_obj()
     if mode == "exact-time" and reps >= 1:
         obj["mean_absorption_time"] = tau_sum / reps
-    _emit(ns, jsonio.dumps(obj))
-    return 0
+    return 0, jsonio.dumps(obj)
 
 
-def cmd_verify(ns) -> int:
-    cfg = _load_config(ns)
-    params, echo = _resolve_params(ns, cfg)
-    n, reps, seed, workers, mode = _sim_config(ns, cfg)
+def cmd_verify(ns, cfg, params, header) -> tuple[int, str]:
+    n, reps, seed, workers, mode = _sim_config(ns, cfg, 2)
     lim = limits_mod.solve_x_infinity(params)
     consts = clt_mod.clt_constants(params, lim)
     sigma = clt_mod.sigma_matrix(consts, params, lim)
     stats = sim_mod.monte_carlo(n, reps, params, seed, workers, mode)
     report = sim_mod.verify(stats, lim, sigma)
-    obj = _header(echo, params)
-    obj["master_seed"] = seed
-    obj["mode"] = mode
-    obj.update(report.to_json_obj())
-    _emit(ns, jsonio.dumps(obj))
-    return 0 if report.passed else 1
+    obj = {**header, "master_seed": seed, "mode": mode, **report.to_json_obj()}
+    return (0 if report.passed else 1), jsonio.dumps(obj)
 
 
-def cmd_oracle(ns) -> int:
-    cfg = _load_config(ns)
-    params, echo = _resolve_params(ns, cfg)
+def cmd_oracle(ns, cfg, params, header) -> tuple[int, str]:
     dist = sim_mod.exact_final_distribution(_population(ns, cfg), params)
     entries = sorted(dist.support())
     if ns.format == "csv":
         lines = ["x,u,p"]
         lines += [f"{x},{u},{p:.17g}" for (x, u), p in entries]
-        _emit(ns, "\n".join(lines) + "\n")
-    else:
-        obj = _header(echo, params)
-        obj["n"] = dist.n
-        obj["total_mass"] = dist.total_mass()
-        obj["mean_x"] = dist.mean_x()
-        obj["mean_u"] = dist.mean_u()
-        obj["support"] = [{"x": x, "u": u, "p": p} for (x, u), p in entries]
-        _emit(ns, jsonio.dumps(obj))
-    return 0
+        return 0, "\n".join(lines) + "\n"
+    return 0, jsonio.dumps({
+        **header, "n": dist.n, "total_mass": dist.total_mass(), "mean_x": dist.mean_x(),
+        "mean_u": dist.mean_u(), "support": [{"x": x, "u": u, "p": p} for (x, u), p in entries]})
 
 
-def cmd_presets(ns) -> int:
+def cmd_presets(ns, cfg, params, header) -> tuple[int, str]:
     entries = []
-    for name in sorted(PRESETS):
-        info = PRESETS[name]
+    for name, info in sorted(PRESETS.items()):
         entry = {"name": name, "aux": list(info.aux), "mapping": info.mapping}
         if not info.aux:
             entry["params"] = preset_params(name).to_json_obj()
         entries.append(entry)
-    _emit(ns, jsonio.dumps({"presets": entries}))
-    return 0
+    return 0, jsonio.dumps({"presets": entries})
+
+
+_SIM_FLAGS = (
+    ("--n", dict(type=int, help="population parameter N (initial ignorants)")),
+    ("--reps", dict(type=int, help=f"replications (default {DEFAULT_REPS})")),
+    ("--seed", dict(type=int, help=f"master seed (default {DEFAULT_SEED})")),
+    ("--workers", dict(type=int, help=f"parallel workers (default ${WORKERS_ENV} or 1)")),
+    ("--mode", dict(choices=sim_mod.MODES, help="simulation mode (default jump-chain)")),
+)
+_FORMAT_FLAG = ("--format", dict(choices=("json", "csv"), default="json"))
+
+# name: (help, command, takes model parameters, its own flags)
+COMMANDS = {
+    "limit": ("limiting ignorant/uninterested fractions", cmd_limit, True, ()),
+    "clt": ("CLT constants, Sigma and t_inf", cmd_clt, True, (
+        ("--cross-check", dict(action="store_true", help="also integrate the covariance ODE "
+                               "and report the max deviation")),)),
+    "fluid": ("deterministic fluid trajectory", cmd_fluid, True, (
+        ("--points", dict(type=int, default=101, help="grid points (default 101)")),
+        ("--t-max", dict(type=float, help="grid upper end (default: t_inf)")),
+        _FORMAT_FLAG)),
+    "simulate": ("Monte Carlo simulation summary", cmd_simulate, True, _SIM_FLAGS + (
+        ("--dump", dict(help="also stream per-replication finals to this CSV path")),)),
+    "verify": ("verify theory against Monte Carlo", cmd_verify, True, _SIM_FLAGS),
+    "oracle": ("exact small-N final-state distribution", cmd_oracle, True, (
+        ("--n", dict(type=int, help="population parameter N")), _FORMAT_FLAG)),
+    "presets": ("list presets and their mappings", cmd_presets, False, ()),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -336,59 +296,38 @@ def build_parser() -> argparse.ArgumentParser:
         "Monte Carlo simulation and verification.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("limit", help="limiting ignorant/uninterested fractions")
-    _add_param_flags(p)
-    _add_output_flag(p)
-    p.set_defaults(func=cmd_limit)
-
-    p = sub.add_parser("clt", help="CLT constants, Sigma and t_inf")
-    _add_param_flags(p)
-    _add_output_flag(p)
-    p.add_argument("--cross-check", action="store_true",
-                   help="also integrate the covariance ODE and report the max deviation")
-    p.set_defaults(func=cmd_clt)
-
-    p = sub.add_parser("fluid", help="deterministic fluid trajectory")
-    _add_param_flags(p)
-    _add_output_flag(p)
-    p.add_argument("--points", type=int, default=101, help="grid points (default 101)")
-    p.add_argument("--t-max", type=float, default=None,
-                   help="grid upper end (default: t_inf)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=cmd_fluid)
-
-    p = sub.add_parser("simulate", help="Monte Carlo simulation summary")
-    _add_param_flags(p)
-    _add_output_flag(p)
-    _add_sim_flags(p)
-    p.add_argument("--dump", help="also stream per-replication finals to this CSV path")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("verify", help="verify theory against Monte Carlo")
-    _add_param_flags(p)
-    _add_output_flag(p)
-    _add_sim_flags(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("oracle", help="exact small-N final-state distribution")
-    _add_param_flags(p)
-    _add_output_flag(p)
-    p.add_argument("--n", type=int, help="population parameter N")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("presets", help="list presets and their mappings")
-    _add_output_flag(p)
-    p.set_defaults(func=cmd_presets)
-
+    for name, (help_, _, takes_params, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        if takes_params:
+            grp = p.add_argument_group("model parameters (explicit or preset)")
+            grp.add_argument("--preset", choices=sorted(PRESETS), help="named model preset")
+            for key, text in _DIRECT_HELP.items():
+                grp.add_argument(f"--{key}", type=float, help=text)
+            for aux in _AUX:
+                grp.add_argument(f"--{aux}", type=float, help=f"preset parameter {aux}")
+            p.add_argument("--config", help="JSON file with the same keys; flags override")
+        p.add_argument("--output", help="write to this path instead of stdout")
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
     return ap
 
 
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
+    _, command, takes_params, _ = COMMANDS[ns.command]
     try:
-        return ns.func(ns)
+        cfg, params, header = {}, None, {}
+        if takes_params:
+            cfg = _load_config(ns.config)
+            params, echo = _resolve_params(ns, cfg)
+            header = ({"preset": echo} if echo else {}) | {"params": params.to_json_obj()}
+        code, text = command(ns, cfg, params, header)
+        if ns.output:
+            with _open_write("--output", ns.output) as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except (UsageError, RumourError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

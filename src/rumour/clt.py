@@ -178,9 +178,12 @@ def t_infinity(p: ModelParams, lim: LimitResult) -> float:
     return -math.log(lim.x_inf) / p.lam
 
 
-def numerical_lambda_via_ode(
-    p: ModelParams, lim: LimitResult, rtol: float = 1e-9, atol: float = 1e-12
-) -> np.ndarray:
+# Integrator tolerances of the Lyapunov-ODE oracle.
+ODE_RTOL = 1e-9
+ODE_ATOL = 1e-12
+
+
+def numerical_lambda_via_ode(p: ModelParams, lim: LimitResult) -> np.ndarray:
     """Integrate the Lyapunov equation for Lambda from 0 to t_inf.
 
     dF is constant; G is evaluated along the closed-form fluid trajectory.
@@ -219,7 +222,7 @@ def numerical_lambda_via_ode(
         )
         return (dF @ L + L @ dF.T + G).ravel()
 
-    sol = solve_ivp(rhs, (0.0, tf), np.zeros(9), method="RK45", rtol=rtol, atol=atol)
+    sol = solve_ivp(rhs, (0.0, tf), np.zeros(9), method="RK45", rtol=ODE_RTOL, atol=ODE_ATOL)
     if not sol.success:
         raise IntegrationFailure(sol.message)
     return sol.y[:, -1].reshape(3, 3)

@@ -13,21 +13,25 @@ import math
 import numpy as np
 
 
-def _render(obj, indent: int, level: int) -> str:
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+# Spaces per nesting level; part of the byte-identical output.
+INDENT = 2
+
+
+def _render(obj, level: int) -> str:
+    pad = " " * (INDENT * level)
+    pad_in = " " * (INDENT * (level + 1))
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = ",\n".join(
-            f"{pad_in}{json.dumps(str(k))}: {_render(v, indent, level + 1)}"
+            f"{pad_in}{json.dumps(str(k))}: {_render(v, level + 1)}"
             for k, v in obj.items()
         )
         return "{\n" + items + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = ",\n".join(f"{pad_in}{_render(v, indent, level + 1)}" for v in obj)
+        items = ",\n".join(f"{pad_in}{_render(v, level + 1)}" for v in obj)
         return "[\n" + items + "\n" + pad + "]"
     if isinstance(obj, bool) or isinstance(obj, np.bool_):
         return "true" if obj else "false"
@@ -47,6 +51,6 @@ def _render(obj, indent: int, level: int) -> str:
     raise TypeError(f"cannot render {type(obj)!r} deterministically")
 
 
-def dumps(obj, indent: int = 2) -> str:
+def dumps(obj) -> str:
     """Render obj to deterministic JSON text (with trailing newline)."""
-    return _render(obj, indent, 0) + "\n"
+    return _render(obj, 0) + "\n"

@@ -195,45 +195,32 @@ def _map_kawachi(alpha: float, beta: float, gamma: float, theta: float) -> Model
 
 @dataclass(frozen=True)
 class PresetInfo:
-    name: str
     aux: tuple[str, ...]
     mapping: str
     mapper: Callable[..., ModelParams]
 
 
 PRESETS: dict[str, PresetInfo] = {
-    "dk": PresetInfo(
-        "dk", (), "lambda=1, gamma=1, theta1=1, theta2=0, delta=1", _map_dk
-    ),
-    "mt": PresetInfo(
-        "mt", (), "lambda=1, gamma=1, theta1=0, theta2=1, delta=1", _map_mt
-    ),
-    "hayes": PresetInfo(
-        "hayes", (), "lambda=1, gamma=1, theta1=2, theta2=0, delta=1", _map_hayes
-    ),
-    "rho": PresetInfo(
-        "rho", ("rho",), "lambda=gamma=delta=1, theta1=rho, theta2=1-rho", _map_rho
-    ),
+    "dk": PresetInfo((), "lambda=1, gamma=1, theta1=1, theta2=0, delta=1", _map_dk),
+    "mt": PresetInfo((), "lambda=1, gamma=1, theta1=0, theta2=1, delta=1", _map_mt),
+    "hayes": PresetInfo((), "lambda=1, gamma=1, theta1=2, theta2=0, delta=1", _map_hayes),
+    "rho": PresetInfo(("rho",), "lambda=gamma=delta=1, theta1=rho, theta2=1-rho", _map_rho),
     "apq_dk": PresetInfo(
-        "apq_dk",
         ("alpha", "p", "q"),
         "lambda=p, gamma=alpha, theta1=alpha^2(2-p), theta2=alpha(1-alpha)(2-p), delta=q",
         _map_apq_dk,
     ),
     "apq_mt": PresetInfo(
-        "apq_mt",
         ("alpha", "p", "q"),
         "lambda=p, gamma=alpha, theta1=0, theta2=alpha, delta=q",
         _map_apq_mt,
     ),
     "pearce": PresetInfo(
-        "pearce",
         ("p", "q1", "q2", "r"),
         "lambda=p, gamma=r/p, theta1=q2/p, theta2=q1/(2p), delta=1",
         _map_pearce,
     ),
     "kawachi": PresetInfo(
-        "kawachi",
         ("alpha", "beta", "gamma", "theta"),
         "lambda=alpha, gamma=gamma/alpha, theta1=2*beta/alpha, theta2=0, delta=theta",
         _map_kawachi,

@@ -73,6 +73,8 @@ def _chunk_kernel(n, delta, gamma, th1, th2, lam, u_sel, u_hold, want_time,
         y = 1
         jumps = 0
         t = 0.0
+        sel = u_sel[r]
+        hold = u_hold[r] if want_time else sel
         while y > 0:
             fx = float(x)
             fy = float(y)
@@ -83,18 +85,21 @@ def _chunk_kernel(n, delta, gamma, th1, th2, lam, u_sel, u_hold, want_time,
             w1 = (1.0 - delta) * fx * fy
             w2 = th1 * fy * (fy - 1.0) * 0.5
             w3 = th2 * fy * (fy - 1.0) + gamma * fy * float(np1 - x - y)
-            wsum = w0 + w1 + w2 + w3
+            # Running sums, added in the order w0 + w1 + w2 + w3 evaluates.
+            c1 = w0 + w1
+            c2 = c1 + w2
+            wsum = c2 + w3
             if want_time:
-                t -= math.log1p(-u_hold[r, jumps]) / (lam * wsum)
-            v = u_sel[r, jumps] * wsum
+                t -= math.log1p(-hold[jumps]) / (lam * wsum)
+            v = sel[jumps] * wsum
             jumps += 1
             if v < w0:
                 x -= 1
                 y += 1
-            elif v < w0 + w1:
+            elif v < c1:
                 x -= 1
                 u += 1
-            elif v < w0 + w1 + w2:
+            elif v < c2:
                 y -= 2
             else:
                 y -= 1
@@ -116,6 +121,21 @@ class ReplicationBlock:
     absorption_time: np.ndarray | None
 
 
+class _RowLists:
+    """Rows of a 2-D array as Python lists of the same doubles, converted
+    one row at a time on access.  The uncompiled kernel reads list items
+    far faster than numpy scalars; converting per row keeps memory at the
+    array's own size."""
+
+    __slots__ = ("a",)
+
+    def __init__(self, a: np.ndarray):
+        self.a = a
+
+    def __getitem__(self, r: int) -> list[float]:
+        return self.a[r].tolist()
+
+
 def _chunk_size(n: int) -> int:
     return max(1, min(_MAX_CHUNK, _CHUNK_DOUBLES // (2 * n + 2)))
 
@@ -135,6 +155,9 @@ def _run_chunk(n, params, master_seed, mode, chunk_index, start, stop) -> Replic
         u_hold = gen_hold.random((rows, m))
     else:
         u_hold = np.empty((0, 0))
+    if not HAVE_NUMBA:
+        u_sel = _RowLists(u_sel)
+        u_hold = _RowLists(u_hold)
     out_x = np.empty(rows, np.int64)
     out_u = np.empty(rows, np.int64)
     out_j = np.empty(rows, np.int64)
@@ -380,6 +403,10 @@ def exact_final_distribution(n: int, params: ModelParams) -> ExactDistribution:
     return ExactDistribution(n=n, probs=mass[:, 0, :].copy())
 
 
+# goodness_of_fit pools cells whose expected count is below this.
+GOF_MIN_EXPECTED = 5.0
+
+
 @dataclass(frozen=True)
 class GofResult:
     chi2: float
@@ -388,13 +415,9 @@ class GofResult:
     cells: int  # cells kept individually (expected count >= threshold)
 
 
-def goodness_of_fit(
-    counts: Mapping[tuple[int, int], int],
-    dist: ExactDistribution,
-    min_expected: float = 5.0,
-) -> GofResult:
+def goodness_of_fit(counts: Mapping[tuple[int, int], int], dist: ExactDistribution) -> GofResult:
     """Pearson chi-square of observed final-state counts against the exact
-    law, pooling cells whose expected count falls below min_expected."""
+    law, pooling cells whose expected count falls below GOF_MIN_EXPECTED."""
     total = sum(counts.values())
     support = list(dist.support())
     support_keys = {k for k, _ in support}
@@ -410,7 +433,7 @@ def goodness_of_fit(
     for key, prob in support:
         exp = prob * total
         obs = counts.get(key, 0)
-        if exp >= min_expected:
+        if exp >= GOF_MIN_EXPECTED:
             chi2 += (obs - exp) ** 2 / exp
             kept += 1
         else:
@@ -431,15 +454,11 @@ def goodness_of_fit(
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerifyConfig:
-    """Acceptance bands: means at mean_z_max standard errors; covariance
-    entries at max(cov_rel_tol relative, cov_z_max Wishart standard
-    errors)."""
-
-    mean_z_max: float = 4.0
-    cov_rel_tol: float = 0.05
-    cov_z_max: float = 4.0
+# Acceptance bands: means at MEAN_Z_MAX standard errors; covariance
+# entries at max(COV_REL_TOL relative, COV_Z_MAX Wishart standard errors).
+MEAN_Z_MAX = 4.0
+COV_REL_TOL = 0.05
+COV_Z_MAX = 4.0
 
 
 @dataclass(frozen=True)
@@ -504,16 +523,10 @@ def _mean_z(dev: float, var_theory: float, n: int, reps: int) -> float:
     return dev / se
 
 
-def verify(
-    stats: McStats,
-    lim: LimitResult,
-    sigma: CovMatrix2,
-    config: VerifyConfig | None = None,
-) -> VerificationReport:
+def verify(stats: McStats, lim: LimitResult, sigma: CovMatrix2) -> VerificationReport:
     """Standardise the empirical means against (x_inf, u_inf) and compare
     the empirical covariance of the sqrt(N)-fluctuations entry-wise with
     the theoretical Sigma."""
-    cfg = config or VerifyConfig()
     if stats.reps < 2:
         raise ValueError("verification needs at least two replications")
     emp = stats.cov_sqrt_n()
@@ -530,15 +543,15 @@ def verify(
         ("s22", emp.s22, sigma.s22, sigma.s22, sigma.s22),
     ):
         wishart_se = math.sqrt((vii * vjj + t * t) / (r - 1))
-        allowed = max(cfg.cov_rel_tol * abs(t), cfg.cov_z_max * wishart_se)
+        allowed = max(COV_REL_TOL * abs(t), COV_Z_MAX * wishart_se)
         err = abs(e - t)
         checks.append(
             EntryCheck(name=name, emp=e, theory=t, abs_err=err, allowed=allowed, ok=err <= allowed)
         )
 
     passed = (
-        abs(xz) <= cfg.mean_z_max
-        and abs(uz) <= cfg.mean_z_max
+        abs(xz) <= MEAN_Z_MAX
+        and abs(uz) <= MEAN_Z_MAX
         and all(c.ok for c in checks)
     )
     return VerificationReport(

@@ -102,3 +102,20 @@ def test_cli_calls_wrapped_layers_through_module_attributes():
               if kind == "attr"}
     assert ("rumour.clt", "numerical_lambda_via_ode") in layers
     assert layers <= called
+
+
+def test_cli_parses_every_benchmark_argv(monkeypatch, tmp_path):
+    # the traced benchmark runs call build_parser() directly, and
+    # perfbench/selftest.py (outside this suite) covers only the smoke sizes
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    from rumour.cli import build_parser
+
+    parser = build_parser()
+    for sizes in (workloads.FULL, workloads.SMOKE):
+        for cls in workloads.WORKLOADS.values():
+            wl = cls(1, sizes, tmp_path)
+            argvs = [op.argv for op in wl.ops()] + wl.warmup
+            assert argvs
+            for argv in argvs:
+                parser.parse_args(argv)

@@ -88,6 +88,14 @@ class TestFluid:
         assert lines[1].startswith("0,1,0,")
 
 
+    def test_bad_t_max_exits_2(self, capsys):
+        for t_max in ("-1", "nan", "inf"):
+            code, out, err = run_cli(capsys, "fluid", "--preset", "dk", "--t-max", t_max)
+            assert code == 2, t_max
+            assert out == ""
+            assert "--t-max" in err
+
+
 class TestSimulate:
     def test_summary_and_dump(self, capsys, tmp_path):
         dump = tmp_path / "reps.csv"
@@ -139,6 +147,15 @@ class TestVerify:
         obj = json.loads(out)
         assert obj["pass"] is False
         assert code == 1
+
+    def test_too_few_reps_exits_2_before_simulating(self, capsys):
+        # N = 10^6 would take minutes to simulate: the check comes first
+        for reps in ("0", "1"):
+            code, out, err = run_cli(capsys, "verify", "--preset", "dk", "--n", "1000000",
+                                     "--reps", reps)
+            assert code == 2
+            assert out == ""
+            assert "--reps" in err
 
     def test_negative_seed_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--preset", "mt", "--n", "100",
@@ -244,3 +261,17 @@ class TestConfigAndOutput:
         _, a, _ = run_cli(capsys, *argv)
         _, b, _ = run_cli(capsys, *argv)
         assert a.encode() == b.encode()
+
+    def test_unwritable_output_exits_2(self, capsys, tmp_path):
+        missing = tmp_path / "no-such-dir"
+        cases = [
+            (["limit", "--preset", "dk", "--output", str(missing / "x.json")], "--output"),
+            # the dump is opened before the simulation: N = 10^6 would take minutes
+            (["simulate", "--preset", "dk", "--n", "1000000", "--reps", "10",
+              "--dump", str(missing / "d.csv")], "--dump"),
+        ]
+        for argv, flag in cases:
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2, argv
+            assert out == ""
+            assert flag in err and str(missing) in err

@@ -8,6 +8,11 @@ uniform at the midpoint of the chosen transition's interval, computed
 from rate_weights.  The kernel must then follow the same path to the same
 final state and jump count and, in exact-time mode, accumulate the same
 absorption time to the last bit.
+
+The summed absorption time can hide a one-ulp change in one step's total
+weight, so a second check sees every step's total on its own: along paths
+drawn from the chain's own law, one kernel row per step whose holding
+uniforms are zero except at that step.
 """
 
 import math
@@ -22,41 +27,51 @@ from rumour.simulate import _chunk_kernel
 MOVES = ((-1, 0, 1), (-1, 1, 0), (0, 0, -2), (0, 0, -1))  # on (x, u, y)
 
 
-def walk(n, p, rng):
-    """A path to absorption: (selection uniforms, holding uniforms,
-    final x, final u, absorption time) with the time summed as the kernel
-    must sum it."""
+def walk(n, p, rng, chain_law=False):
+    """A path to absorption: (selection uniforms, holding uniforms, total
+    weight of each step, final x, final u).  Each transition is drawn
+    uniformly among those with positive weight, or with probability
+    proportional to its weight when chain_law is set."""
     x, u, y = n, 0, 1
-    u_sel, u_hold = [], []
-    t = 0.0
+    u_sel, u_hold, wsums = [], [], []
     while y > 0:
         w = rate_weights(x, y, n, p)
         wsum = w[0] + w[1] + w[2] + w[3]
         bounds = (0.0, w[0], w[0] + w[1], w[0] + w[1] + w[2], wsum)
-        k = int(rng.choice([i for i in range(4) if w[i] > 0.0]))
+        if chain_law:
+            k = int(rng.choice(4, p=np.array(w) / wsum))
+        else:
+            k = int(rng.choice([i for i in range(4) if w[i] > 0.0]))
         u_sel.append(0.5 * (bounds[k] + bounds[k + 1]) / wsum)
-        hold = float(rng.uniform(0.0, 1.0))
-        u_hold.append(hold)
-        t += -math.log1p(-hold) / (p.lam * wsum)
+        u_hold.append(float(rng.uniform(0.0, 1.0)))
+        wsums.append(wsum)
         dx, du, dy = MOVES[k]
         x, u, y = x + dx, u + du, y + dy
-    return u_sel, u_hold, x, u, t
+    return u_sel, u_hold, wsums, x, u
 
 
-def run_kernel(n, p, u_sel, u_hold, want_time):
+def holding_time(p, hold, wsum):
+    return -math.log1p(-hold) / (p.lam * wsum)
+
+
+def run_kernel(n, p, sel_rows, hold_rows, want_time):
+    """Run the kernel on the given rows of uniforms (each padded with 0.5
+    to the 2n + 1 a replication may use); return its per-row outputs."""
     m = 2 * n + 1
-    sel = np.full((1, m), 0.5)
-    sel[0, : len(u_sel)] = u_sel
-    hold = np.full((1, m), 0.5)
-    hold[0, : len(u_hold)] = u_hold
-    out_x = np.empty(1, np.int64)
-    out_u = np.empty(1, np.int64)
-    out_j = np.empty(1, np.int64)
-    out_t = np.empty(1, np.float64)
+    rows = len(sel_rows)
+    sel = np.full((rows, m), 0.5)
+    hold = np.full((rows, m), 0.5)
+    for r in range(rows):
+        sel[r, : len(sel_rows[r])] = sel_rows[r]
+        hold[r, : len(hold_rows[r])] = hold_rows[r]
+    out_x = np.empty(rows, np.int64)
+    out_u = np.empty(rows, np.int64)
+    out_j = np.empty(rows, np.int64)
+    out_t = np.empty(rows, np.float64)
     _chunk_kernel(n, p.delta, p.gamma, p.theta1, p.theta2, p.lam, sel,
                   hold if want_time else np.empty((0, 0)), want_time,
                   out_x, out_u, out_j, out_t)
-    return int(out_x[0]), int(out_u[0]), int(out_j[0]), float(out_t[0])
+    return out_x.tolist(), out_u.tolist(), out_j.tolist(), out_t.tolist()
 
 
 def parameter_cases():
@@ -75,10 +90,28 @@ def test_kernel_follows_rate_weights(want_time):
     rng = rng_for("kernel-contract-paths")
     for name, p in parameter_cases():
         for n in (1, 2, 3, 5, 8, 13, 21, 34, 55):
-            u_sel, u_hold, x, u, t = walk(n, p, rng)
-            got = run_kernel(n, p, u_sel, u_hold, want_time)
-            assert got[:3] == (x, u, len(u_sel)), (name, n)
-            if want_time:
-                assert got[3] == t, (name, n)
-            else:
-                assert got[3] == 0.0
+            u_sel, u_hold, wsums, x, u = walk(n, p, rng)
+            t = 0.0
+            for hold, wsum in zip(u_hold, wsums):
+                t += holding_time(p, hold, wsum)
+            xs, us, js, ts = run_kernel(n, p, [u_sel], [u_hold], want_time)
+            assert (xs[0], us[0], js[0]) == (x, u, len(u_sel)), (name, n)
+            assert ts[0] == (t if want_time else 0.0), (name, n)
+
+
+def test_kernel_total_weight_per_step():
+    # delta < 1: with delta = 1 every ordering of delta * x * y rounds alike
+    rng = rng_for("kernel-contract-steps")
+    cases = [(name, p) for name, p in parameter_cases() if p.delta < 1.0]
+    for name, p in cases:
+        for n in (20, 60, 200):
+            u_sel, u_hold, wsums, x, u = walk(n, p, rng, chain_law=True)
+            steps = len(u_sel)
+            holds = [[0.0] * steps for _ in range(steps)]
+            for k in range(steps):
+                holds[k][k] = u_hold[k]
+            xs, us, js, ts = run_kernel(n, p, [u_sel] * steps, holds, True)
+            assert xs == [x] * steps and us == [u] * steps and js == [steps] * steps
+            want = [holding_time(p, h, w) for h, w in zip(u_hold, wsums)]
+            bad = [k for k in range(steps) if ts[k] != want[k]]
+            assert not bad, (name, n, bad[:5])

@@ -10,7 +10,6 @@ from rumour.limits import solve_x_infinity
 from rumour.model import ModelParams, preset_params
 from rumour.simulate import (
     McStats,
-    VerifyConfig,
     exact_final_distribution,
     final_state_counts,
     goodness_of_fit,
@@ -274,14 +273,6 @@ class TestVerify:
         rep = verify(stats, lim, sigma)
         assert rep.passed
         assert abs(rep.sigma_emp.s11 - 0.427204) <= 0.05 * 0.427204
-
-    def test_config_tightening(self):
-        p = preset_params("mt")
-        lim = solve_x_infinity(p)
-        sigma = sigma_matrix(clt_constants(p, lim), p, lim)
-        stats = monte_carlo(500, 500, p, master_seed=47)
-        strict = VerifyConfig(mean_z_max=1e-9, cov_rel_tol=0.0, cov_z_max=1e-9)
-        assert not verify(stats, lim, sigma, strict).passed
 
     def test_needs_replications(self):
         p = preset_params("dk")
