@@ -16,6 +16,7 @@ Exit codes: 0 success / verification pass, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -55,13 +56,35 @@ class UsageError(Exception):
     pass
 
 
-def _open_write(flag: str, path: str):
+def _open_write(flag: str, path: str, mode: str):
     """Open a file the CLI writes; a path that cannot be opened is a usage
     error naming the flag."""
     try:
-        return open(path, "w", newline="")
+        return open(path, mode, newline="")
     except OSError as e:
         raise UsageError(f"{flag} {path}: {e.strerror or e}")
+
+
+@contextlib.contextmanager
+def _output(path: str | None):
+    """Yield the writer of the command's text: stdout, or --output opened
+    before the command runs and without truncating; if the command fails,
+    an existing file keeps its bytes and a file created here is removed."""
+    if not path:
+        yield sys.stdout.write
+        return
+    created = not os.path.exists(path)
+    with _open_write("--output", path, "a") as fh:
+        def write(text: str) -> None:
+            fh.truncate(0)
+            fh.write(text)
+
+        try:
+            yield write
+        except BaseException:
+            if created:
+                os.remove(path)
+            raise
 
 
 def _load_config(path: str | None) -> dict:
@@ -212,7 +235,7 @@ def cmd_simulate(ns, cfg, params, header) -> tuple[int, str]:
             yield b
 
     if ns.dump:
-        with _open_write("--dump", ns.dump) as fh:
+        with _open_write("--dump", ns.dump, "w") as fh:
             sim_mod.write_replications_csv(fh, folded())
     else:
         for _ in folded():
@@ -321,12 +344,9 @@ def main(argv=None) -> int:
             cfg = _load_config(ns.config)
             params, echo = _resolve_params(ns, cfg)
             header = ({"preset": echo} if echo else {}) | {"params": params.to_json_obj()}
-        code, text = command(ns, cfg, params, header)
-        if ns.output:
-            with _open_write("--output", ns.output) as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        with _output(ns.output) as write:
+            code, text = command(ns, cfg, params, header)
+            write(text)
         return code
     except (UsageError, RumourError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -114,9 +114,9 @@ def rate_weights(x, y, n: int, p: ModelParams):
     each rate is p.lam times its weight.
 
     Works element-wise on numpy arrays as well as on scalars.  All four
-    are zero iff y = 0 (the absorbing states).  The operation order is
-    part of the contract: the exact oracle and the simulation kernel's
-    inline copy must reproduce these values bit for bit.
+    are zero iff y = 0 (the absorbing states).  The exact oracle calls it
+    on scalars and the simulation kernel on int64 arrays; its operation
+    order fixes both outputs to the bit.
     """
     d, g = p.delta, p.gamma
     return (

@@ -18,9 +18,14 @@ block, at most 2N + 1 draws (each jump decrements X or Y).  Results are
 therefore identical for any worker count, and accumulated statistics are
 exact integers, so no floating-point reduction order can leak in.
 
+The kernel is a numpy lockstep walk: each step advances every live
+replication of a chunk by one jump, with weights from model.rate_weights,
+so each path is bit-identical to a one-row-at-a-time walk.  Holding times
+use math.log1p element by element, because numpy's vectorised log1p
+rounds differently in a few percent of draws.
+
 For small populations an exact final-state distribution is available by
-propagating probability mass through the jump-chain DAG; Monte Carlo
-output is checked against it with a chi-square test.
+propagating probability mass through the jump-chain DAG.
 """
 
 from __future__ import annotations
@@ -29,29 +34,17 @@ import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 import numpy as np
-from scipy.stats import chi2 as _chi2_dist
 
 from rumour.clt import CovMatrix2
 from rumour.errors import TooLarge
 from rumour.limits import LimitResult
 from rumour.model import ModelParams, rate_weights
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def deco(fn):
-            return fn
-
-        return deco
-
+# There is no jitted backend; the name stays for callers that report one.
+HAVE_NUMBA = False
 
 MODES = ("jump-chain", "exact-time")
 
@@ -63,50 +56,52 @@ _MAX_CHUNK = 1024
 EXACT_N_MAX = 60
 
 
-@njit(cache=True, nogil=True)
-def _chunk_kernel(n, delta, gamma, th1, th2, lam, u_sel, u_hold, want_time,
-                  out_x, out_u, out_j, out_t):  # pragma: no cover - jitted
-    np1 = n + 1
-    for r in range(out_x.shape[0]):
-        x = n
-        u = 0
-        y = 1
-        jumps = 0
-        t = 0.0
-        sel = u_sel[r]
-        hold = u_hold[r] if want_time else sel
-        while y > 0:
-            fx = float(x)
-            fy = float(y)
-            # Inline copy of model.rate_weights: a shared call per jump
-            # costs about a fifth more on the pure-Python fallback.  The
-            # kernel contract test pins this copy to rate_weights bit for bit.
-            w0 = delta * fx * fy
-            w1 = (1.0 - delta) * fx * fy
-            w2 = th1 * fy * (fy - 1.0) * 0.5
-            w3 = th2 * fy * (fy - 1.0) + gamma * fy * float(np1 - x - y)
-            # Running sums, added in the order w0 + w1 + w2 + w3 evaluates.
-            c1 = w0 + w1
-            c2 = c1 + w2
-            wsum = c2 + w3
-            if want_time:
-                t -= math.log1p(-hold[jumps]) / (lam * wsum)
-            v = sel[jumps] * wsum
-            jumps += 1
-            if v < w0:
-                x -= 1
-                y += 1
-            elif v < c1:
-                x -= 1
-                u += 1
-            elif v < c2:
-                y -= 2
-            else:
-                y -= 1
-        out_x[r] = x
-        out_u[r] = u
-        out_j[r] = jumps
-        out_t[r] = t
+def _chunk_kernel(n: int, params: ModelParams, u_sel: np.ndarray,
+                  u_hold: np.ndarray | None):
+    """Walk all rows of a chunk to absorption in lockstep: row r's j-th jump
+    reads u_sel[r, j] (and u_hold[r, j]).  Returns per-row final x, final u,
+    jumps and absorption times (None in jump-chain mode)."""
+    rows = u_sel.shape[0]
+    out_x = np.empty(rows, np.int64)
+    out_u = np.empty(rows, np.int64)
+    out_j = np.empty(rows, np.int64)
+    out_t = np.zeros(rows)
+    live = np.arange(rows)
+    x = np.full(rows, n, np.int64)
+    u = np.zeros(rows, np.int64)
+    y = np.ones(rows, np.int64)
+    t = np.zeros(rows)
+    step = 0
+    while live.size:
+        w0, w1, w2, w3 = rate_weights(x, y, n, params)
+        # Running sums, added in the order w0 + w1 + w2 + w3 evaluates.
+        c1 = w0 + w1
+        c2 = c1 + w2
+        wsum = c2 + w3
+        if u_hold is not None:
+            # math.log1p, not np.log1p: numpy's SIMD log1p rounds
+            # differently in about 7 % of draws, moving times by an ulp.
+            logs = list(map(math.log1p, (-u_hold[live, step]).tolist()))
+            t -= np.array(logs) / (params.lam * wsum)
+        v = u_sel[live, step] * wsum
+        step += 1
+        # Nondecreasing thresholds: a implies b implies c.  The move is
+        # (x-1, y+1) on a, (x-1, u+1) on b ^ a, y-2 on c ^ b, y-1 on ~c.
+        a, b, c = v < w0, v < c1, v < c2
+        x -= b
+        u += b ^ a
+        y += a
+        y -= (c ^ b) * 2 + ~c
+        done = y == 0
+        if done.any():
+            gone = live[done]
+            out_x[gone] = x[done]
+            out_u[gone] = u[done]
+            out_j[gone] = step
+            out_t[gone] = t[done]
+            keep = ~done
+            live, x, u, y, t = live[keep], x[keep], u[keep], y[keep], t[keep]
+    return out_x, out_u, out_j, out_t if u_hold is not None else None
 
 
 @dataclass(frozen=True)
@@ -121,71 +116,22 @@ class ReplicationBlock:
     absorption_time: np.ndarray | None
 
 
-class _RowLists:
-    """Rows of a 2-D array as Python lists of the same doubles, converted
-    one row at a time on access.  The uncompiled kernel reads list items
-    far faster than numpy scalars; converting per row keeps memory at the
-    array's own size."""
-
-    __slots__ = ("a",)
-
-    def __init__(self, a: np.ndarray):
-        self.a = a
-
-    def __getitem__(self, r: int) -> list[float]:
-        return self.a[r].tolist()
-
-
 def _chunk_size(n: int) -> int:
     return max(1, min(_MAX_CHUNK, _CHUNK_DOUBLES // (2 * n + 2)))
 
 
+def _uniforms(master_seed, chunk_index, stream, rows, m) -> np.ndarray:
+    seq = np.random.SeedSequence(entropy=(master_seed, chunk_index, stream))
+    return np.random.Generator(np.random.Philox(seq)).random((rows, m))
+
+
 def _run_chunk(n, params, master_seed, mode, chunk_index, start, stop) -> ReplicationBlock:
-    rows = stop - start
-    m = 2 * n + 1
-    gen_sel = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=(master_seed, chunk_index, 0)))
-    )
-    u_sel = gen_sel.random((rows, m))
-    want_time = mode == "exact-time"
-    if want_time:
-        gen_hold = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=(master_seed, chunk_index, 1)))
-        )
-        u_hold = gen_hold.random((rows, m))
-    else:
-        u_hold = np.empty((0, 0))
-    if not HAVE_NUMBA:
-        u_sel = _RowLists(u_sel)
-        u_hold = _RowLists(u_hold)
-    out_x = np.empty(rows, np.int64)
-    out_u = np.empty(rows, np.int64)
-    out_j = np.empty(rows, np.int64)
-    out_t = np.empty(rows, np.float64)
-    _chunk_kernel(
-        n,
-        params.delta,
-        params.gamma,
-        params.theta1,
-        params.theta2,
-        params.lam,
-        u_sel,
-        u_hold,
-        want_time,
-        out_x,
-        out_u,
-        out_j,
-        out_t,
-    )
-    z = n + 1 - out_x - out_u
-    return ReplicationBlock(
-        start=start,
-        x=out_x,
-        u=out_u,
-        z=z,
-        jumps=out_j,
-        absorption_time=out_t if want_time else None,
-    )
+    rows, m = stop - start, 2 * n + 1
+    u_sel = _uniforms(master_seed, chunk_index, 0, rows, m)
+    u_hold = _uniforms(master_seed, chunk_index, 1, rows, m) if mode == "exact-time" else None
+    x, u, jumps, times = _chunk_kernel(n, params, u_sel, u_hold)
+    return ReplicationBlock(start=start, x=x, u=u, z=n + 1 - x - u, jumps=jumps,
+                            absorption_time=times)
 
 
 def iter_final_states(
@@ -302,25 +248,6 @@ def monte_carlo(
     return stats
 
 
-def final_state_counts(
-    n: int,
-    reps: int,
-    params: ModelParams,
-    master_seed: int,
-    workers: int = 1,
-    mode: str = "jump-chain",
-) -> dict[tuple[int, int], int]:
-    """Histogram of final (X, U) over replications."""
-    counts: dict[tuple[int, int], int] = {}
-    stride = n + 2
-    for block in iter_final_states(n, reps, params, master_seed, workers, mode):
-        keys, cnt = np.unique(block.x * stride + block.u, return_counts=True)
-        for k, c in zip(keys.tolist(), cnt.tolist()):
-            xu = (k // stride, k % stride)
-            counts[xu] = counts.get(xu, 0) + c
-    return counts
-
-
 def write_replications_csv(fh, blocks: Iterable[ReplicationBlock]) -> None:
     """Stream per-replication final states to CSV (rep order).  The
     absorption_time column is empty in jump-chain mode."""
@@ -401,52 +328,6 @@ def exact_final_distribution(n: int, params: ModelParams) -> ExactDistribution:
             if w3 > 0.0:
                 mass[x, y - 1] += (w3 / w) * v
     return ExactDistribution(n=n, probs=mass[:, 0, :].copy())
-
-
-# goodness_of_fit pools cells whose expected count is below this.
-GOF_MIN_EXPECTED = 5.0
-
-
-@dataclass(frozen=True)
-class GofResult:
-    chi2: float
-    dof: int
-    pvalue: float
-    cells: int  # cells kept individually (expected count >= threshold)
-
-
-def goodness_of_fit(counts: Mapping[tuple[int, int], int], dist: ExactDistribution) -> GofResult:
-    """Pearson chi-square of observed final-state counts against the exact
-    law, pooling cells whose expected count falls below GOF_MIN_EXPECTED."""
-    total = sum(counts.values())
-    support = list(dist.support())
-    support_keys = {k for k, _ in support}
-    stray = sum(c for k, c in counts.items() if k not in support_keys)
-    if stray:
-        # observed mass on an impossible state: reject outright
-        return GofResult(chi2=math.inf, dof=max(1, len(support) - 1), pvalue=0.0, cells=len(support))
-
-    chi2 = 0.0
-    kept = 0
-    pooled_exp = 0.0
-    pooled_obs = 0
-    for key, prob in support:
-        exp = prob * total
-        obs = counts.get(key, 0)
-        if exp >= GOF_MIN_EXPECTED:
-            chi2 += (obs - exp) ** 2 / exp
-            kept += 1
-        else:
-            pooled_exp += exp
-            pooled_obs += obs
-    ncells = kept
-    if pooled_exp > 0.0 or pooled_obs > 0:
-        chi2 += (pooled_obs - pooled_exp) ** 2 / max(pooled_exp, 1e-300)
-        ncells += 1
-    dof = ncells - 1
-    if dof < 1:
-        return GofResult(chi2=chi2, dof=0, pvalue=1.0, cells=kept)
-    return GofResult(chi2=chi2, dof=dof, pvalue=float(_chi2_dist.sf(chi2, dof)), cells=kept)
 
 
 # --------------------------------------------------------------------------

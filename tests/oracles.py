@@ -1,15 +1,26 @@
-"""Specialised closed-form covariances for the classic sub-families.
+"""Test oracles.
 
-Independent oracles for the general CLT path in rumour.clt: each family
+Specialised closed-form covariances for the classic sub-families are
+independent oracles for the general CLT path in rumour.clt: each family
 computes its own x_inf through the Lambert-W route, so it shares nothing
 with the bracketed solver or the general constants.
+
+A Pearson chi-square test compares Monte Carlo final-state histograms
+with the exact small-N distribution of rumour.simulate.
 """
 
 import math
+from dataclasses import dataclass
+from typing import Mapping
+
+import numpy as np
+from scipy.stats import chi2 as _chi2_dist
 
 from rumour.clt import CovMatrix2
 from rumour.errors import NotApplicable
 from rumour.limits import lambert_w0, lambert_wm1
+from rumour.model import ModelParams
+from rumour.simulate import ExactDistribution, iter_final_states
 
 
 def _x_w0(h: float) -> float:
@@ -95,3 +106,68 @@ def sigma_closed_form(family: str, value: float | None = None) -> CovMatrix2:
             )
         return CovMatrix2(v, 0.0, 0.0)
     raise NotApplicable(f"no specialised covariance for family {family!r}")
+
+
+def final_state_counts(
+    n: int,
+    reps: int,
+    params: ModelParams,
+    master_seed: int,
+    workers: int = 1,
+    mode: str = "jump-chain",
+) -> dict[tuple[int, int], int]:
+    """Histogram of final (X, U) over replications."""
+    counts: dict[tuple[int, int], int] = {}
+    stride = n + 2
+    for block in iter_final_states(n, reps, params, master_seed, workers, mode):
+        keys, cnt = np.unique(block.x * stride + block.u, return_counts=True)
+        for k, c in zip(keys.tolist(), cnt.tolist()):
+            xu = (k // stride, k % stride)
+            counts[xu] = counts.get(xu, 0) + c
+    return counts
+
+
+# goodness_of_fit pools cells whose expected count is below this.
+GOF_MIN_EXPECTED = 5.0
+
+
+@dataclass(frozen=True)
+class GofResult:
+    chi2: float
+    dof: int
+    pvalue: float
+    cells: int  # cells kept individually (expected count >= threshold)
+
+
+def goodness_of_fit(counts: Mapping[tuple[int, int], int], dist: ExactDistribution) -> GofResult:
+    """Pearson chi-square of observed final-state counts against the exact
+    law, pooling cells whose expected count falls below GOF_MIN_EXPECTED."""
+    total = sum(counts.values())
+    support = list(dist.support())
+    support_keys = {k for k, _ in support}
+    stray = sum(c for k, c in counts.items() if k not in support_keys)
+    if stray:
+        # observed mass on an impossible state: reject outright
+        return GofResult(chi2=math.inf, dof=max(1, len(support) - 1), pvalue=0.0, cells=len(support))
+
+    chi2 = 0.0
+    kept = 0
+    pooled_exp = 0.0
+    pooled_obs = 0
+    for key, prob in support:
+        exp = prob * total
+        obs = counts.get(key, 0)
+        if exp >= GOF_MIN_EXPECTED:
+            chi2 += (obs - exp) ** 2 / exp
+            kept += 1
+        else:
+            pooled_exp += exp
+            pooled_obs += obs
+    ncells = kept
+    if pooled_exp > 0.0 or pooled_obs > 0:
+        chi2 += (pooled_obs - pooled_exp) ** 2 / max(pooled_exp, 1e-300)
+        ncells += 1
+    dof = ncells - 1
+    if dof < 1:
+        return GofResult(chi2=chi2, dof=0, pvalue=1.0, cells=kept)
+    return GofResult(chi2=chi2, dof=dof, pvalue=float(_chi2_dist.sf(chi2, dof)), cells=kept)

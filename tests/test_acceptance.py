@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import random_params, rng_for
-from oracles import sigma_closed_form
+from oracles import final_state_counts, goodness_of_fit, sigma_closed_form
 from rumour.cli import main as cli_main
 from rumour.clt import (
     clt_constants,
@@ -28,8 +28,6 @@ from rumour.limits import solve_x_infinity, x_infinity_closed_form
 from rumour.model import ModelParams, preset_params
 from rumour.simulate import (
     exact_final_distribution,
-    final_state_counts,
-    goodness_of_fit,
     iter_final_states,
     monte_carlo,
     verify,

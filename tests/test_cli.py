@@ -1,5 +1,6 @@
 import json
 
+from rumour import simulate
 from rumour.cli import main
 
 
@@ -262,16 +263,35 @@ class TestConfigAndOutput:
         _, b, _ = run_cli(capsys, *argv)
         assert a.encode() == b.encode()
 
-    def test_unwritable_output_exits_2(self, capsys, tmp_path):
+    def test_unwritable_output_exits_2(self, capsys, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulation started")
+
+        # both files are opened before any simulation starts
+        monkeypatch.setattr(simulate, "iter_final_states", refuse)
         missing = tmp_path / "no-such-dir"
+        sim = ["simulate", "--preset", "dk", "--n", "10", "--reps", "5"]
         cases = [
             (["limit", "--preset", "dk", "--output", str(missing / "x.json")], "--output"),
-            # the dump is opened before the simulation: N = 10^6 would take minutes
-            (["simulate", "--preset", "dk", "--n", "1000000", "--reps", "10",
-              "--dump", str(missing / "d.csv")], "--dump"),
+            (sim + ["--output", str(missing / "x.json")], "--output"),
+            (sim + ["--dump", str(missing / "d.csv")], "--dump"),
         ]
         for argv, flag in cases:
             code, out, err = run_cli(capsys, *argv)
             assert code == 2, argv
             assert out == ""
             assert flag in err and str(missing) in err
+
+    def test_failed_command_leaves_output_untouched(self, capsys, tmp_path):
+        new = tmp_path / "new.json"
+        old = tmp_path / "old.json"
+        old.write_bytes(b"keep me\n" * 1000)
+        for path in (new, old):
+            code, _, err = run_cli(capsys, "fluid", "--preset", "dk", "--points", "1",
+                                   "--output", str(path))
+            assert code == 2 and "--points" in err
+        assert not new.exists()
+        assert old.read_bytes() == b"keep me\n" * 1000
+        code, _, _ = run_cli(capsys, "limit", "--preset", "dk", "--output", str(old))
+        assert code == 0
+        assert json.loads(old.read_text())["x_inf"] > 0.2

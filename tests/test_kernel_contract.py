@@ -1,13 +1,14 @@
-"""Kernel contract: the simulation kernel's inline rate weights are
-model.rate_weights, bit for bit.
+"""Kernel contract: the lockstep simulation kernel walks each row of
+uniforms as a scalar loop over model.rate_weights would, bit for bit.
 
-The kernel keeps its own copy of the four weights for speed.  This test
-needs no luck with a seed: it walks a path of the chain, choosing each
-transition among those with positive weight, and hands the kernel the
-uniform at the midpoint of the chosen transition's interval, computed
-from rate_weights.  The kernel must then follow the same path to the same
-final state and jump count and, in exact-time mode, accumulate the same
-absorption time to the last bit.
+These tests need no luck with a seed: they walk a path of the chain,
+choosing each transition among those with positive weight, and hand the
+kernel the uniform at the midpoint of the chosen transition's interval,
+computed from rate_weights.  The kernel must then follow the same path to
+the same final state and jump count and, in exact-time mode, accumulate
+the same absorption time to the last bit.  Paths of different lengths in
+one call absorb at different steps, which checks that every row's
+results land at its own index.
 
 The summed absorption time can hide a one-ulp change in one step's total
 weight, so a second check sees every step's total on its own: along paths
@@ -54,9 +55,17 @@ def holding_time(p, hold, wsum):
     return -math.log1p(-hold) / (p.lam * wsum)
 
 
+def path_time(p, u_hold, wsums):
+    t = 0.0
+    for hold, wsum in zip(u_hold, wsums):
+        t += holding_time(p, hold, wsum)
+    return t
+
+
 def run_kernel(n, p, sel_rows, hold_rows, want_time):
     """Run the kernel on the given rows of uniforms (each padded with 0.5
-    to the 2n + 1 a replication may use); return its per-row outputs."""
+    to the 2n + 1 a replication may use); return its per-row outputs, with
+    times None in jump-chain mode."""
     m = 2 * n + 1
     rows = len(sel_rows)
     sel = np.full((rows, m), 0.5)
@@ -64,14 +73,8 @@ def run_kernel(n, p, sel_rows, hold_rows, want_time):
     for r in range(rows):
         sel[r, : len(sel_rows[r])] = sel_rows[r]
         hold[r, : len(hold_rows[r])] = hold_rows[r]
-    out_x = np.empty(rows, np.int64)
-    out_u = np.empty(rows, np.int64)
-    out_j = np.empty(rows, np.int64)
-    out_t = np.empty(rows, np.float64)
-    _chunk_kernel(n, p.delta, p.gamma, p.theta1, p.theta2, p.lam, sel,
-                  hold if want_time else np.empty((0, 0)), want_time,
-                  out_x, out_u, out_j, out_t)
-    return out_x.tolist(), out_u.tolist(), out_j.tolist(), out_t.tolist()
+    xs, us, js, ts = _chunk_kernel(n, p, sel, hold if want_time else None)
+    return xs.tolist(), us.tolist(), js.tolist(), ts.tolist() if want_time else None
 
 
 def parameter_cases():
@@ -91,12 +94,24 @@ def test_kernel_follows_rate_weights(want_time):
     for name, p in parameter_cases():
         for n in (1, 2, 3, 5, 8, 13, 21, 34, 55):
             u_sel, u_hold, wsums, x, u = walk(n, p, rng)
-            t = 0.0
-            for hold, wsum in zip(u_hold, wsums):
-                t += holding_time(p, hold, wsum)
             xs, us, js, ts = run_kernel(n, p, [u_sel], [u_hold], want_time)
             assert (xs[0], us[0], js[0]) == (x, u, len(u_sel)), (name, n)
-            assert ts[0] == (t if want_time else 0.0), (name, n)
+            assert ts == ([path_time(p, u_hold, wsums)] if want_time else None), (name, n)
+
+
+@pytest.mark.parametrize("want_time", [False, True], ids=["jump-chain", "exact-time"])
+def test_kernel_rows_of_different_lengths(want_time):
+    rng = rng_for("kernel-contract-rows")
+    n = 21
+    for name, p in parameter_cases():
+        paths = [walk(n, p, rng) for _ in range(12)]
+        assert len({len(path[0]) for path in paths}) > 1, name
+        xs, us, js, ts = run_kernel(n, p, [path[0] for path in paths],
+                                    [path[1] for path in paths], want_time)
+        assert (ts is not None) == want_time
+        for r, (u_sel, u_hold, wsums, x, u) in enumerate(paths):
+            assert (xs[r], us[r], js[r]) == (x, u, len(u_sel)), (name, r)
+            assert not want_time or ts[r] == path_time(p, u_hold, wsums), (name, r)
 
 
 def test_kernel_total_weight_per_step():

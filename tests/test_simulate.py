@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_params, rng_for
+from oracles import final_state_counts, goodness_of_fit
 from rumour.clt import CovMatrix2, clt_constants, sigma_matrix
 from rumour.errors import TooLarge
 from rumour.limits import solve_x_infinity
@@ -11,8 +12,6 @@ from rumour.model import ModelParams, preset_params
 from rumour.simulate import (
     McStats,
     exact_final_distribution,
-    final_state_counts,
-    goodness_of_fit,
     iter_final_states,
     monte_carlo,
     verify,
