@@ -20,6 +20,7 @@ import contextlib
 import json
 import math
 import os
+import stat
 import sys
 
 import numpy as np
@@ -69,14 +70,18 @@ def _open_write(flag: str, path: str, mode: str):
 def _output(path: str | None):
     """Yield the writer of the command's text: stdout, or --output opened
     before the command runs and without truncating; if the command fails,
-    an existing file keeps its bytes and a file created here is removed."""
+    an existing file keeps its bytes and a file created here is removed.
+    Only a regular file is truncated: a device, pipe or FIFO cannot be."""
     if not path:
         yield sys.stdout.write
         return
     created = not os.path.exists(path)
     with _open_write("--output", path, "a") as fh:
+        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+
         def write(text: str) -> None:
-            fh.truncate(0)
+            if regular:
+                fh.truncate(0)
             fh.write(text)
 
         try:

@@ -1,4 +1,5 @@
 import json
+import os
 
 from rumour import simulate
 from rumour.cli import main
@@ -295,3 +296,8 @@ class TestConfigAndOutput:
         code, _, _ = run_cli(capsys, "limit", "--preset", "dk", "--output", str(old))
         assert code == 0
         assert json.loads(old.read_text())["x_inf"] > 0.2
+
+    def test_output_to_device(self, capsys):
+        # a device cannot be truncated; the text is written all the same
+        code, out, err = run_cli(capsys, "limit", "--preset", "dk", "--output", os.devnull)
+        assert (code, out, err) == (0, "", "")
