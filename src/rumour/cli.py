@@ -7,7 +7,8 @@ seeded from a JSON --config file (explicit flags override the file).
 
 All randomness flows from --seed (default 1729, never time-based), and
 output is deterministic: fixed key order, floats at 17 significant
-digits, results independent of --workers.
+digits.  Monte Carlo chunks run in order on one thread; --workers is
+accepted and ignored.
 
 Exit codes: 0 success / verification pass, 1 verification failure,
 2 usage or parameter-validation error.
@@ -34,7 +35,6 @@ from rumour.model import PRESETS, ModelParams, preset_params
 
 DEFAULT_SEED = 1729
 DEFAULT_REPS = 10_000
-WORKERS_ENV = "RUMOUR_WORKERS"
 
 _DIRECT_HELP = {
     "lambda": "contact rate > 0",
@@ -49,7 +49,7 @@ _AUX = tuple(dict.fromkeys(a for info in PRESETS.values() for a in info.aux
 
 # Keys that hold integers; preset and mode hold strings, every other key
 # a real number.
-_INT_KEYS = ("n", "reps", "seed", "workers")
+_INT_KEYS = ("n", "reps", "seed")
 _STR_KEYS = ("preset", "mode")
 
 
@@ -107,8 +107,8 @@ def _load_config(path: str | None) -> dict:
 
 def _merged(ns, cfg: dict, key: str):
     """The flag's value, else the config file's, else None, converted to
-    the key's type.  A value of the wrong type ("abc" for a number, 2.7 for
-    an integer) is a usage error naming the key."""
+    the key's type.  A value of the wrong type ("abc" or a JSON boolean for
+    a number, 2.7 for an integer) is a usage error naming the key."""
     val = getattr(ns, key, None)
     if val is None:
         val = cfg.get(key)
@@ -119,7 +119,8 @@ def _merged(ns, cfg: dict, key: str):
         out = kind(val)
     except (TypeError, ValueError, OverflowError):
         out = None
-    if out is None or (kind is int and isinstance(val, float) and out != val):
+    if (out is None or isinstance(val, bool)
+            or (kind is int and isinstance(val, float) and out != val)):
         what = "an integer" if kind is int else "a number"
         raise UsageError(f"--{key} must be {what}, got {val!r}")
     return out
@@ -162,7 +163,7 @@ def _population(ns, cfg: dict) -> int:
     return n
 
 
-def _sim_config(ns, cfg: dict, min_reps: int) -> tuple[int, int, int, int, str]:
+def _sim_config(ns, cfg: dict, min_reps: int) -> tuple[int, int, int, str]:
     n = _population(ns, cfg)
     reps = _merged(ns, cfg, "reps")
     reps = reps if reps is not None else DEFAULT_REPS
@@ -172,18 +173,10 @@ def _sim_config(ns, cfg: dict, min_reps: int) -> tuple[int, int, int, int, str]:
     seed = seed if seed is not None else DEFAULT_SEED
     if seed < 0:
         raise UsageError(f"--seed must be a non-negative integer, got {seed}")
-    workers = _merged(ns, cfg, "workers")
-    if workers is None:
-        try:
-            workers = int(os.environ.get(WORKERS_ENV, "1"))
-        except ValueError:
-            raise UsageError(f"${WORKERS_ENV} must be an integer")
-    if workers < 1:
-        raise UsageError(f"--workers must be >= 1, got {workers}")
     mode = _merged(ns, cfg, "mode") or "jump-chain"
     if mode not in sim_mod.MODES:
         raise UsageError(f"--mode must be one of {sim_mod.MODES}, got {mode!r}")
-    return n, reps, seed, workers, mode
+    return n, reps, seed, mode
 
 
 # Each command takes (ns, cfg, params, header) and returns (exit code,
@@ -227,13 +220,13 @@ def cmd_fluid(ns, cfg, params, header) -> tuple[int, str]:
 
 
 def cmd_simulate(ns, cfg, params, header) -> tuple[int, str]:
-    n, reps, seed, workers, mode = _sim_config(ns, cfg, 0)
+    n, reps, seed, mode = _sim_config(ns, cfg, 0)
     stats = sim_mod.McStats.empty(n, seed)
     tau_sum = 0.0
 
     def folded():
         nonlocal tau_sum
-        for b in sim_mod.iter_final_states(n, reps, params, seed, workers, mode):
+        for b in sim_mod.iter_final_states(n, reps, params, seed, mode=mode):
             stats.add_block(b)
             if b.absorption_time is not None:
                 tau_sum += float(b.absorption_time.sum())
@@ -257,11 +250,11 @@ def cmd_simulate(ns, cfg, params, header) -> tuple[int, str]:
 
 
 def cmd_verify(ns, cfg, params, header) -> tuple[int, str]:
-    n, reps, seed, workers, mode = _sim_config(ns, cfg, 2)
+    n, reps, seed, mode = _sim_config(ns, cfg, 2)
     lim = limits_mod.solve_x_infinity(params)
     consts = clt_mod.clt_constants(params, lim)
     sigma = clt_mod.sigma_matrix(consts, params, lim)
-    stats = sim_mod.monte_carlo(n, reps, params, seed, workers, mode)
+    stats = sim_mod.monte_carlo(n, reps, params, seed, mode)
     report = sim_mod.verify(stats, lim, sigma)
     obj = {**header, "master_seed": seed, "mode": mode, **report.to_json_obj()}
     return (0 if report.passed else 1), jsonio.dumps(obj)
@@ -293,7 +286,7 @@ _SIM_FLAGS = (
     ("--n", dict(type=int, help="population parameter N (initial ignorants)")),
     ("--reps", dict(type=int, help=f"replications (default {DEFAULT_REPS})")),
     ("--seed", dict(type=int, help=f"master seed (default {DEFAULT_SEED})")),
-    ("--workers", dict(type=int, help=f"parallel workers (default ${WORKERS_ENV} or 1)")),
+    ("--workers", dict(type=int, help="accepted and ignored; chunks run on one thread")),
     ("--mode", dict(choices=sim_mod.MODES, help="simulation mode (default jump-chain)")),
 )
 _FORMAT_FLAG = ("--format", dict(choices=("json", "csv"), default="json"))

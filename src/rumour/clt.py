@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from rumour.errors import IntegrationFailure
 from rumour.limits import LimitResult, _target
@@ -191,6 +190,10 @@ def numerical_lambda_via_ode(p: ModelParams, lim: LimitResult) -> np.ndarray:
     independent check of the closed-form constants (notably C, D and the
     kappa bookkeeping).
     """
+    # imported here: scipy.integrate costs most of a CLI start, and only
+    # this function needs it
+    from scipy.integrate import solve_ivp
+
     g, d, la = p.gamma, p.delta, p.lam
     th = p.theta
     kappa = 3.0 * p.theta1 + 2.0 * p.theta2 - 4.0 * g

@@ -14,9 +14,9 @@ Reproducibility: replications are partitioned into fixed-size chunks
 uniforms from counter-based Philox streams keyed by (master_seed, c, 0)
 for transition selection and (master_seed, c, 1) for holding times.
 Replication r consumes row r - chunk_start of the chunk's pre-drawn
-block, at most 2N + 1 draws (each jump decrements X or Y).  Results are
-therefore identical for any worker count, and accumulated statistics are
-exact integers, so no floating-point reduction order can leak in.
+block, at most 2N + 1 draws (each jump decrements X or Y).  Chunks run
+in order on the calling thread, one at a time, and accumulated statistics
+are exact integers, so no floating-point reduction order can leak in.
 
 The kernel is a numpy lockstep walk: each step advances every live
 replication of a chunk by one jump, with weights from model.rate_weights,
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -52,7 +51,7 @@ MODES = ("jump-chain", "exact-time")
 _CHUNK_DOUBLES = 1 << 22
 _MAX_CHUNK = 1024
 
-# Largest population the exact oracle accepts; its mass cube is O(n^3).
+# Largest population the exact oracle accepts; its time is O(n^3).
 EXACT_N_MAX = 60
 
 
@@ -142,8 +141,10 @@ def iter_final_states(
     workers: int = 1,
     mode: str = "jump-chain",
 ) -> Iterator[ReplicationBlock]:
-    """Stream replication results in chunk order (deterministic for any
-    worker count)."""
+    """Stream replication results in chunk order, running each chunk on the
+    calling thread when its block is requested, so one chunk is in flight
+    at a time.  workers is accepted and ignored; it goes once no caller
+    passes it."""
     if n < 1:
         raise ValueError(f"population parameter must be >= 1, got {n}")
     if reps < 0:
@@ -151,16 +152,8 @@ def iter_final_states(
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     size = _chunk_size(n)
-    nchunks = (reps + size - 1) // size
-    jobs = [(c, c * size, min(reps, (c + 1) * size)) for c in range(nchunks)]
-    if workers > 1 and nchunks > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            yield from ex.map(
-                lambda job: _run_chunk(n, params, master_seed, mode, *job), jobs
-            )
-    else:
-        for job in jobs:
-            yield _run_chunk(n, params, master_seed, mode, *job)
+    for c, start in enumerate(range(0, reps, size)):
+        yield _run_chunk(n, params, master_seed, mode, c, start, min(reps, start + size))
 
 
 @dataclass
@@ -234,16 +227,14 @@ def monte_carlo(
     reps: int,
     params: ModelParams,
     master_seed: int,
-    workers: int = 1,
     mode: str = "jump-chain",
 ) -> McStats:
     """Run reps independent replications and fold them into McStats.
 
-    (master_seed, n, params, reps) fully determine the result; workers only
-    change wall-clock time.
+    (master_seed, n, params, reps, mode) fully determine the result.
     """
     stats = McStats.empty(n, master_seed)
-    for block in iter_final_states(n, reps, params, master_seed, workers, mode):
+    for block in iter_final_states(n, reps, params, master_seed, mode=mode):
         stats.add_block(block)
     return stats
 
@@ -300,34 +291,44 @@ def exact_final_distribution(n: int, params: ModelParams) -> ExactDistribution:
 
     States (X, U, Y) are processed in decreasing (X, then Y) order, which
     is topological: every transition lowers X or keeps X and lowers Y.
-    Mass reaching Y = 0 stays there.  The computation never touches
-    lambda, so the result is bitwise lambda-invariant.  Memory and time
-    are O(n^3); EXACT_N_MAX guards against accidental huge inputs.
+    Mass reaching Y = 0 stays there.  Only two X-slices are live: moves
+    within slice X run serially in Y, then the moves to X - 1 are applied
+    to the whole slice at once.  The computation never touches lambda, so
+    the result is bitwise lambda-invariant.  Time is O(n^3) and memory
+    O(n^2); EXACT_N_MAX guards against accidental huge inputs.
     """
     if n < 1:
         raise ValueError(f"population parameter must be >= 1, got {n}")
     if n > EXACT_N_MAX:
         raise TooLarge(f"exact distribution wants n <= {EXACT_N_MAX}, got {n}")
-    np1 = n + 1
-    # mass[x, y, u]; u ranges over 0..n+1 (u <= n in fact, slack is cheap)
-    mass = np.zeros((n + 1, n + 2, n + 2))
-    mass[n, 1, 0] = 1.0
+    probs = np.zeros((n + 1, n + 2))
+    # cur[y, u] is the mass of slice x; u ranges over 0..n+1 (u <= n in
+    # fact, slack is cheap)
+    cur = np.zeros((n + 2, n + 2))
+    cur[1, 0] = 1.0
     for x in range(n, -1, -1):
-        for y in range(np1 - x, 0, -1):
-            v = mass[x, y]
-            if not v.any():
-                continue
-            w0, w1, w2, w3 = rate_weights(x, y, n, params)
-            w = w0 + w1 + w2 + w3
-            if w0 > 0.0:
-                mass[x - 1, y + 1] += (w0 / w) * v
-            if w1 > 0.0:
-                mass[x - 1, y, 1:] += (w1 / w) * v[:-1]
-            if w2 > 0.0:
-                mass[x, y - 2] += (w2 / w) * v
-            if w3 > 0.0:
-                mass[x, y - 1] += (w3 / w) * v
-    return ExactDistribution(n=n, probs=mass[:, 0, :].copy())
+        top = n + 1 - x
+        w0, w1, w2, w3 = rate_weights(x, np.arange(1, top + 1), n, params)
+        w = w0 + w1 + w2 + w3
+        # w = 0 only where no move is possible (X = 0, Y = N + 1 with
+        # theta1 = theta2 = 0): that mass stays put, as in the chain.
+        p0, p1, p2, p3 = (np.divide(wk, w, out=np.zeros_like(w), where=w > 0)
+                          for wk in (w0, w1, w2, w3))
+        for y in range(top, 0, -1):
+            v = cur[y]
+            # at y = 1, p2 = 0: the zero share wraps to row n + 1, which is
+            # empty or already processed
+            cur[y - 2] += p2[y - 1] * v
+            cur[y - 1] += p3[y - 1] * v
+        probs[x] = cur[0]
+        if x:
+            # the w1 share lands in each cell before the w0 share, as in a
+            # serial walk over y
+            live = cur[1:top + 1]
+            cur = np.zeros_like(cur)
+            cur[1:top + 1, 1:] = p1[:, None] * live[:, :-1]
+            cur[2:top + 2] += p0[:, None] * live
+    return ExactDistribution(n=n, probs=probs)
 
 
 # --------------------------------------------------------------------------

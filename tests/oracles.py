@@ -113,13 +113,12 @@ def final_state_counts(
     reps: int,
     params: ModelParams,
     master_seed: int,
-    workers: int = 1,
     mode: str = "jump-chain",
 ) -> dict[tuple[int, int], int]:
     """Histogram of final (X, U) over replications."""
     counts: dict[tuple[int, int], int] = {}
     stride = n + 2
-    for block in iter_final_states(n, reps, params, master_seed, workers, mode):
+    for block in iter_final_states(n, reps, params, master_seed, mode=mode):
         keys, cnt = np.unique(block.x * stride + block.u, return_counts=True)
         for k, c in zip(keys.tolist(), cnt.tolist()):
             xu = (k // stride, k % stride)

@@ -73,7 +73,7 @@ def big_runs():
     for label, p in big_run_cases():
         lim = solve_x_infinity(p)
         sigma = sigma_matrix(clt_constants(p, lim), p, lim)
-        stats = monte_carlo(BIG_N, BIG_REPS, p, master_seed=BIG_RUN_SEEDS[label], workers=8)
+        stats = monte_carlo(BIG_N, BIG_REPS, p, master_seed=BIG_RUN_SEEDS[label])
         runs[label] = (p, lim, sigma, stats)
     return runs
 
@@ -198,7 +198,7 @@ def test_c07_exact_oracle_equivalence():
     for label, p in presets:
         for n in range(2, 11):
             dist = exact_final_distribution(n, p)
-            counts = final_state_counts(n, 100_000, p, master_seed=GOF_SEED, workers=8)
+            counts = final_state_counts(n, 100_000, p, master_seed=GOF_SEED)
             g = goodness_of_fit(counts, dist)
             worst = min(worst, g.pvalue)
             if g.pvalue < 1e-3:

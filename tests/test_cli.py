@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 from rumour import simulate
 from rumour.cli import main
@@ -232,6 +234,10 @@ class TestConfigAndOutput:
             ("limit", {"lambda": "x", "gamma": 1, "theta1": 1, "theta2": 0, "delta": 1},
              "--lambda"),
             ("oracle", {"preset": "dk", "n": [3]}, "--n"),
+            # a JSON boolean is not a number, though Python takes it as one
+            ("simulate", {"preset": "dk", "n": True, "reps": 3}, "--n"),
+            ("simulate", {"preset": "dk", "n": 5, "reps": 3, "seed": True}, "--seed"),
+            ("limit", {"preset": "rho", "rho": False}, "--rho"),
         ]
         for cmd, body, key in cases:
             cfg = tmp_path / "bad.json"
@@ -301,3 +307,14 @@ class TestConfigAndOutput:
         # a device cannot be truncated; the text is written all the same
         code, out, err = run_cli(capsys, "limit", "--preset", "dk", "--output", os.devnull)
         assert (code, out, err) == (0, "", "")
+
+
+def test_import_loads_no_scipy():
+    # scipy.integrate is most of a CLI start; only clt --cross-check uses it
+    src = os.path.dirname(os.path.dirname(simulate.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, rumour.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

@@ -8,6 +8,7 @@ from oracles import final_state_counts, goodness_of_fit
 from rumour.clt import CovMatrix2, clt_constants, sigma_matrix
 from rumour.errors import TooLarge
 from rumour.limits import solve_x_infinity
+from rumour import simulate
 from rumour.model import ModelParams, preset_params
 from rumour.simulate import (
     McStats,
@@ -107,11 +108,28 @@ class TestModesAndLambda:
 
 
 class TestMcStats:
-    def test_worker_count_invariance(self):
-        p = preset_params("apq_mt", alpha=0.8, p=0.9, q=0.6)
-        ref = monte_carlo(200, 3000, p, master_seed=77, workers=1)
-        for workers in (4, 16):
-            assert monte_carlo(200, 3000, p, master_seed=77, workers=workers) == ref
+    def test_one_chunk_in_flight(self, monkeypatch):
+        # a chunk runs only when its block is requested, and the ignored
+        # workers argument changes no block
+        p = preset_params("dk")
+        ref = list(iter_final_states(200, 4096, p, 7, 1, "jump-chain"))
+        run_chunk = simulate._run_chunk
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return run_chunk(*args)
+
+        monkeypatch.setattr(simulate, "_run_chunk", counted)
+        blocks = iter_final_states(200, 4096, p, 7, 4, "jump-chain")
+        got = [next(blocks)]
+        assert len(calls) == 1
+        got += blocks
+        assert len(got) == len(ref) == 4
+        for a, b in zip(got, ref):
+            assert a.start == b.start and a.absorption_time is b.absorption_time is None
+            for field in ("x", "u", "z", "jumps"):
+                assert np.array_equal(getattr(a, field), getattr(b, field))
 
     def test_fraction_scale_properties(self):
         p = preset_params("dk")
@@ -175,6 +193,15 @@ class TestExactDistribution:
             n = int(rng.integers(1, 25))
             d = exact_final_distribution(n, p)
             assert abs(d.total_mass() - 1.0) <= 1e-12
+
+    def test_zero_rate_state_keeps_its_mass(self):
+        # theta1 = theta2 = 0 with gamma within THETA_SNAP of 0: no move
+        # leaves X = 0, Y = N + 1, so the mass of the N spreading jumps
+        # that reach it (delta^N) never absorbs
+        p = ModelParams(lam=1.0, gamma=1e-13, theta1=0.0, theta2=0.0, delta=0.7)
+        d = exact_final_distribution(4, p)
+        assert not np.isnan(d.probs).any()
+        assert math.isclose(d.total_mass(), 1.0 - 0.7**4, rel_tol=1e-12)
 
     def test_bitwise_lambda_invariance(self):
         base = preset_params("apq_dk", alpha=0.6, p=0.7, q=0.8)
@@ -246,7 +273,7 @@ class TestVerify:
         p = preset_params("dk")
         lim = solve_x_infinity(p)
         sigma = sigma_matrix(clt_constants(p, lim), p, lim)
-        stats = monte_carlo(500, 2000, p, master_seed=41, workers=4)
+        stats = monte_carlo(500, 2000, p, master_seed=41)
         rep = verify(stats, lim, sigma)
         emp = rep.sigma_emp
         assert emp.s12 == 0.0 and emp.s22 == 0.0
@@ -257,7 +284,7 @@ class TestVerify:
         p = preset_params("mt")
         lim = solve_x_infinity(p)
         sigma = sigma_matrix(clt_constants(p, lim), p, lim)
-        stats = monte_carlo(2000, 4000, p, master_seed=43, workers=4)
+        stats = monte_carlo(2000, 4000, p, master_seed=43)
         assert verify(stats, lim, sigma).passed
         wrong = CovMatrix2(2.0 * sigma.s11, sigma.s12, sigma.s22)
         assert not verify(stats, lim, wrong).passed
@@ -268,7 +295,7 @@ class TestVerify:
         p = preset_params("hayes")
         lim = solve_x_infinity(p)
         sigma = sigma_matrix(clt_constants(p, lim), p, lim)
-        stats = monte_carlo(10_000, 10_000, p, master_seed=200, workers=8)
+        stats = monte_carlo(10_000, 10_000, p, master_seed=200)
         rep = verify(stats, lim, sigma)
         assert rep.passed
         assert abs(rep.sigma_emp.s11 - 0.427204) <= 0.05 * 0.427204
