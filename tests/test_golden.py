@@ -57,6 +57,18 @@ CASES.update({
     + ["--preset", "apq_dk", "--alpha", "0.5", "--p", "0.5", "--q", "0.5"],
     "verify-mt": ["verify", "--n", "50", "--reps", "200", "--seed", "42",
                   "--mode", "exact-time"] + POINTS["mt"],
+    # N = 1500: rows run past a block of uniforms (DK makes about 2150
+    # jumps per replication), m = 2N + 1 is odd so row starts fall at
+    # every offset within a Philox block of four, and 1400 replications
+    # span two chunks.
+    "simulate-block-jump-chain": ["simulate", "--n", "1500", "--reps", "1400", "--seed", "6",
+                                  "--dump", "{dump}"] + POINTS["dk"],
+    "simulate-block-exact-time": ["simulate", "--n", "1500", "--reps", "64", "--seed", "6",
+                                  "--mode", "exact-time", "--dump", "{dump}"] + POINTS["dk"],
+    "verify-block-jump-chain": ["verify", "--n", "1500", "--reps", "64", "--seed", "3"]
+    + POINTS["dk"],
+    "verify-block-exact-time": ["verify", "--n", "1500", "--reps", "64", "--seed", "4",
+                                "--mode", "exact-time"] + POINTS["dk"],
     "presets": ["presets"],
     "output-file": ["clt", "--output", "{out}"] + POINTS["explicit"],
 })
@@ -276,6 +288,14 @@ GOLDEN = {
     'presets': (0, [
         'bf58289067ed2b4d8052c877cf39b4afe37c181870d474ae9a599104529a755f',
     ]),
+    'simulate-block-exact-time': (0, [
+        'a1a21e27e658888cc7075616d36326e8f08c0cacb41c5c13d2f6ad903671b495',
+        'f4a1c6dc46a52f219865b905ed95e191af0a3bd1de46498c5a43b58cc4dda59e',
+    ]),
+    'simulate-block-jump-chain': (0, [
+        '56d16e69c3bd60a499f016f2404d0901404451e765430bdcac957481a5fc513c',
+        '1a8268f8264a02bc93a2c6466af74c99cedb55b2763cea7dd9bda1bfcf2580d1',
+    ]),
     'simulate-dk-no-dump': (0, [
         '3fbef5b9d61abcd3e0c6cefec43c876e50deab649b3960196668f3430b65d6af',
     ]),
@@ -286,6 +306,12 @@ GOLDEN = {
     'simulate-jump-chain': (0, [
         '51a7acc04bb4eb2f550c26b08942e385cb0bc4547d353a16563b54d2ce09f696',
         '3b77de0c6ac89ef34fe2a38cbc9e7df35faa2562245a9cb1fe1b1310d3697b62',
+    ]),
+    'verify-block-exact-time': (0, [
+        'c67db38f716407463d16f7452bba7a813dfc991472a9c9620d0226c9f7e16464',
+    ]),
+    'verify-block-jump-chain': (0, [
+        '4291cc5ee0be47f125196647b7576180d4589422312af44a83f04915eaa9733a',
     ]),
     'verify-fail': (1, [
         '9cd461aae58ef0627efc9a522e4c810848c68f0123ab9e4ba3135e9b9e7ba5ef',
