@@ -92,9 +92,21 @@ def _output(path: str | None):
             raise
 
 
-def _load_config(path: str | None) -> dict:
+class _Config(dict):
+    """The --config object; it records every key read from it."""
+
+    def __init__(self, obj=()):
+        super().__init__(obj)
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def _load_config(path: str | None) -> _Config:
     if not path:
-        return {}
+        return _Config()
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -102,16 +114,17 @@ def _load_config(path: str | None) -> dict:
         raise UsageError(f"--config {path}: {e}")
     if not isinstance(cfg, dict):
         raise UsageError(f"--config {path}: expected a JSON object")
-    return cfg
+    return _Config(cfg)
 
 
 def _merged(ns, cfg: dict, key: str):
     """The flag's value, else the config file's, else None, converted to
     the key's type.  A value of the wrong type ("abc" or a JSON boolean for
     a number, 2.7 for an integer) is a usage error naming the key."""
+    in_file = cfg.get(key)  # read even when the flag overrides it
     val = getattr(ns, key, None)
     if val is None:
-        val = cfg.get(key)
+        val = in_file
     if val is None or key in _STR_KEYS:
         return val
     kind = int if key in _INT_KEYS else float
@@ -179,15 +192,16 @@ def _sim_config(ns, cfg: dict, min_reps: int) -> tuple[int, int, int, str]:
     return n, reps, seed, mode
 
 
-# Each command takes (ns, cfg, params, header) and returns (exit code,
-# text); main writes the text to stdout or --output.
+# Each command takes (ns, settings, params, header) and returns (exit
+# code, text); main writes the text to stdout or --output.  settings is
+# what the command's settings reader returned (None if it has none).
 
 
-def cmd_limit(ns, cfg, params, header) -> tuple[int, str]:
+def cmd_limit(ns, settings, params, header) -> tuple[int, str]:
     return 0, jsonio.dumps({**header, **limits_mod.solve_x_infinity(params).to_json_obj()})
 
 
-def cmd_clt(ns, cfg, params, header) -> tuple[int, str]:
+def cmd_clt(ns, settings, params, header) -> tuple[int, str]:
     lim = limits_mod.solve_x_infinity(params)
     consts = clt_mod.clt_constants(params, lim)
     sigma = clt_mod.sigma_matrix(consts, params, lim)
@@ -203,7 +217,7 @@ def cmd_clt(ns, cfg, params, header) -> tuple[int, str]:
     return 0, jsonio.dumps(obj)
 
 
-def cmd_fluid(ns, cfg, params, header) -> tuple[int, str]:
+def cmd_fluid(ns, settings, params, header) -> tuple[int, str]:
     if ns.points < 2:
         raise UsageError("--points must be >= 2")
     if ns.t_max is not None and not (math.isfinite(ns.t_max) and ns.t_max >= 0):
@@ -219,8 +233,8 @@ def cmd_fluid(ns, cfg, params, header) -> tuple[int, str]:
         {"t": pt.t, "x": pt.x, "u": pt.u, "y": pt.y} for pt in points]})
 
 
-def cmd_simulate(ns, cfg, params, header) -> tuple[int, str]:
-    n, reps, seed, mode = _sim_config(ns, cfg, 0)
+def cmd_simulate(ns, settings, params, header) -> tuple[int, str]:
+    n, reps, seed, mode = settings
     stats = sim_mod.McStats.empty(n, seed)
     tau_sum = 0.0
 
@@ -249,8 +263,8 @@ def cmd_simulate(ns, cfg, params, header) -> tuple[int, str]:
     return 0, jsonio.dumps(obj)
 
 
-def cmd_verify(ns, cfg, params, header) -> tuple[int, str]:
-    n, reps, seed, mode = _sim_config(ns, cfg, 2)
+def cmd_verify(ns, settings, params, header) -> tuple[int, str]:
+    n, reps, seed, mode = settings
     lim = limits_mod.solve_x_infinity(params)
     consts = clt_mod.clt_constants(params, lim)
     sigma = clt_mod.sigma_matrix(consts, params, lim)
@@ -260,8 +274,8 @@ def cmd_verify(ns, cfg, params, header) -> tuple[int, str]:
     return (0 if report.passed else 1), jsonio.dumps(obj)
 
 
-def cmd_oracle(ns, cfg, params, header) -> tuple[int, str]:
-    dist = sim_mod.exact_final_distribution(_population(ns, cfg), params)
+def cmd_oracle(ns, n, params, header) -> tuple[int, str]:
+    dist = sim_mod.exact_final_distribution(n, params)
     entries = sorted(dist.support())
     if ns.format == "csv":
         lines = ["x,u,p"]
@@ -272,7 +286,7 @@ def cmd_oracle(ns, cfg, params, header) -> tuple[int, str]:
         "mean_u": dist.mean_u(), "support": [{"x": x, "u": u, "p": p} for (x, u), p in entries]})
 
 
-def cmd_presets(ns, cfg, params, header) -> tuple[int, str]:
+def cmd_presets(ns, settings, params, header) -> tuple[int, str]:
     entries = []
     for name, info in sorted(PRESETS.items()):
         entry = {"name": name, "aux": list(info.aux), "mapping": info.mapping}
@@ -291,22 +305,25 @@ _SIM_FLAGS = (
 )
 _FORMAT_FLAG = ("--format", dict(choices=("json", "csv"), default="json"))
 
-# name: (help, command, takes model parameters, its own flags)
+# name: (help, command, takes model parameters, settings reader
+# (ns, cfg) -> settings or None, its own flags)
 COMMANDS = {
-    "limit": ("limiting ignorant/uninterested fractions", cmd_limit, True, ()),
-    "clt": ("CLT constants, Sigma and t_inf", cmd_clt, True, (
+    "limit": ("limiting ignorant/uninterested fractions", cmd_limit, True, None, ()),
+    "clt": ("CLT constants, Sigma and t_inf", cmd_clt, True, None, (
         ("--cross-check", dict(action="store_true", help="also integrate the covariance ODE "
                                "and report the max deviation")),)),
-    "fluid": ("deterministic fluid trajectory", cmd_fluid, True, (
+    "fluid": ("deterministic fluid trajectory", cmd_fluid, True, None, (
         ("--points", dict(type=int, default=101, help="grid points (default 101)")),
         ("--t-max", dict(type=float, help="grid upper end (default: t_inf)")),
         _FORMAT_FLAG)),
-    "simulate": ("Monte Carlo simulation summary", cmd_simulate, True, _SIM_FLAGS + (
+    "simulate": ("Monte Carlo simulation summary", cmd_simulate, True,
+                 lambda ns, cfg: _sim_config(ns, cfg, 0), _SIM_FLAGS + (
         ("--dump", dict(help="also stream per-replication finals to this CSV path")),)),
-    "verify": ("verify theory against Monte Carlo", cmd_verify, True, _SIM_FLAGS),
-    "oracle": ("exact small-N final-state distribution", cmd_oracle, True, (
+    "verify": ("verify theory against Monte Carlo", cmd_verify, True,
+               lambda ns, cfg: _sim_config(ns, cfg, 2), _SIM_FLAGS),
+    "oracle": ("exact small-N final-state distribution", cmd_oracle, True, _population, (
         ("--n", dict(type=int, help="population parameter N")), _FORMAT_FLAG)),
-    "presets": ("list presets and their mappings", cmd_presets, False, ()),
+    "presets": ("list presets and their mappings", cmd_presets, False, None, ()),
 }
 
 
@@ -317,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
         "Monte Carlo simulation and verification.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, (help_, _, takes_params, flags) in COMMANDS.items():
+    for name, (help_, _, takes_params, _, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=help_)
         if takes_params:
             grp = p.add_argument_group("model parameters (explicit or preset)")
@@ -335,15 +352,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
-    _, command, takes_params, _ = COMMANDS[ns.command]
+    _, command, takes_params, read_settings, _ = COMMANDS[ns.command]
     try:
-        cfg, params, header = {}, None, {}
+        cfg, params, header = _Config(), None, {}
         if takes_params:
             cfg = _load_config(ns.config)
             params, echo = _resolve_params(ns, cfg)
             header = ({"preset": echo} if echo else {}) | {"params": params.to_json_obj()}
+        settings = read_settings(ns, cfg) if read_settings else None
+        # the accepted keys are exactly those the command has read
+        unread = sorted(set(cfg) - cfg.read)
+        if unread:
+            raise UsageError(f"--config {ns.config}: {ns.command} does not read "
+                             f"{', '.join(map(repr, unread))}")
         with _output(ns.output) as write:
-            code, text = command(ns, cfg, params, header)
+            code, text = command(ns, settings, params, header)
             write(text)
         return code
     except (UsageError, RumourError) as e:

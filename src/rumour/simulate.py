@@ -13,10 +13,15 @@ Reproducibility: replications are partitioned into fixed-size chunks
 (size depends only on the population parameter), and chunk c draws its
 uniforms from counter-based Philox streams keyed by (master_seed, c, 0)
 for transition selection and (master_seed, c, 1) for holding times.
-Replication r consumes row r - chunk_start of the chunk's pre-drawn
-block, at most 2N + 1 draws (each jump decrements X or Y).  Chunks run
-in order on the calling thread, one at a time, and accumulated statistics
-are exact integers, so no floating-point reduction order can leak in.
+Replication r owns m = 2N + 1 consecutive uniforms of each stream, row
+r - chunk_start of the chunk's rows x m matrix in row-major order; each
+jump decrements X or Y, so no replication needs more.  The matrix is
+never drawn whole: Philox is counter-based, so the kernel is handed
+column blocks of at most _BLOCK uniforms for its live rows, each read
+from its offset in the stream, and memory per stream stays at
+rows x min(m, _BLOCK) doubles whatever N is.  Chunks run in order on the
+calling thread, one at a time, and accumulated statistics are exact
+integers, so no floating-point reduction order can leak in.
 
 The kernel is a numpy lockstep walk: each step advances every live
 replication of a chunk by one jump, with weights from model.rate_weights,
@@ -47,43 +52,61 @@ HAVE_NUMBA = False
 
 MODES = ("jump-chain", "exact-time")
 
-# Uniform doubles drawn per chunk stay near this budget (~32 MiB).
+# Rows per chunk: _CHUNK_DOUBLES // (2N + 2), at most _MAX_CHUNK.  Part of
+# the stream contract (it fixes which replications share a stream), not a
+# memory budget.
 _CHUNK_DOUBLES = 1 << 22
 _MAX_CHUNK = 1024
+
+# Uniforms per row handed to the kernel at a time.
+_BLOCK = 1024
 
 # Largest population the exact oracle accepts; its time is O(n^3).
 EXACT_N_MAX = 60
 
 
-def _chunk_kernel(n: int, params: ModelParams, u_sel: np.ndarray,
-                  u_hold: np.ndarray | None):
-    """Walk all rows of a chunk to absorption in lockstep: row r's j-th jump
-    reads u_sel[r, j] (and u_hold[r, j]).  Returns per-row final x, final u,
-    jumps and absorption times (None in jump-chain mode)."""
-    rows = u_sel.shape[0]
+def _chunk_kernel(n: int, params: ModelParams, blocks, refill):
+    """Walk all rows of a chunk to absorption in lockstep.  blocks is a
+    (selection, holding) pair of uniform arrays, holding None in jump-chain
+    mode, with one row per replication: row r's j-th jump reads column j.
+    When the columns run out at step s, refill(live, s) returns the next
+    pair for the rows live (increasing) from column s on.  Returns per-row
+    final x, final u, jumps and absorption times (None in jump-chain
+    mode)."""
+    sel, hold = blocks
+    rows = sel.shape[0]
     out_x = np.empty(rows, np.int64)
     out_u = np.empty(rows, np.int64)
     out_j = np.empty(rows, np.int64)
     out_t = np.zeros(rows)
     live = np.arange(rows)
-    x = np.full(rows, n, np.int64)
-    u = np.zeros(rows, np.int64)
-    y = np.ones(rows, np.int64)
+    pos = live  # each live row's row in the current blocks
+    # float64 counts: rate_weights gives the same bits as on int64 and
+    # runs faster
+    x = np.full(rows, float(n))
+    u = np.zeros(rows)
+    y = np.ones(rows)
     t = np.zeros(rows)
-    step = 0
+    step = col = 0
     while live.size:
+        if col == sel.shape[1]:
+            # drop the spent blocks before the next ones are drawn
+            sel = hold = None
+            sel, hold = refill(live, step)
+            pos, col = np.arange(live.size), 0
         w0, w1, w2, w3 = rate_weights(x, y, n, params)
         # Running sums, added in the order w0 + w1 + w2 + w3 evaluates.
         c1 = w0 + w1
         c2 = c1 + w2
         wsum = c2 + w3
-        if u_hold is not None:
+        if hold is not None:
             # math.log1p, not np.log1p: numpy's SIMD log1p rounds
             # differently in about 7 % of draws, moving times by an ulp.
-            logs = list(map(math.log1p, (-u_hold[live, step]).tolist()))
+            logs = list(map(math.log1p, (-hold[pos, col]).tolist()))
             t -= np.array(logs) / (params.lam * wsum)
-        v = u_sel[live, step] * wsum
+        v = sel[pos, col] * wsum
         step += 1
+        col += 1
         # Nondecreasing thresholds: a implies b implies c.  The move is
         # (x-1, y+1) on a, (x-1, u+1) on b ^ a, y-2 on c ^ b, y-1 on ~c.
         a, b, c = v < w0, v < c1, v < c2
@@ -99,8 +122,8 @@ def _chunk_kernel(n: int, params: ModelParams, u_sel: np.ndarray,
             out_j[gone] = step
             out_t[gone] = t[done]
             keep = ~done
-            live, x, u, y, t = live[keep], x[keep], u[keep], y[keep], t[keep]
-    return out_x, out_u, out_j, out_t if u_hold is not None else None
+            live, pos, x, u, y, t = live[keep], pos[keep], x[keep], u[keep], y[keep], t[keep]
+    return out_x, out_u, out_j, out_t if hold is not None else None
 
 
 @dataclass(frozen=True)
@@ -119,16 +142,52 @@ def _chunk_size(n: int) -> int:
     return max(1, min(_MAX_CHUNK, _CHUNK_DOUBLES // (2 * n + 2)))
 
 
-def _uniforms(master_seed, chunk_index, stream, rows, m) -> np.ndarray:
+def _philox_rows(master_seed, chunk_index, stream, rows, m):
+    """read(live, step) returns columns step ... step + k - 1, where
+    k = min(_BLOCK, m - step), of the rows live (increasing) of the
+    chunk's rows x m matrix of uniforms
+    Generator(Philox(SeedSequence((master_seed, chunk_index, stream))))
+    .random((rows, m)), without drawing the rest of the matrix."""
     seq = np.random.SeedSequence(entropy=(master_seed, chunk_index, stream))
-    return np.random.Generator(np.random.Philox(seq)).random((rows, m))
+    bitgen = np.random.Philox(seq)
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+
+    def seek(draw):
+        # Philox makes four draws per counter value and steps the counter
+        # before it makes them: draw d comes from counter d // 4 + 1.
+        state["state"]["counter"][0] = draw // 4
+        state["buffer_pos"] = 4
+        bitgen.state = state
+        if draw % 4:
+            gen.random(draw % 4)
+
+    def read(live, step):
+        if m <= _BLOCK and step == 0 and live.size == rows:
+            seek(0)
+            return gen.random((rows, m))  # whole rows in one call
+        out = np.empty((live.size, min(_BLOCK, m - step)))
+        for i, r in enumerate(live.tolist()):
+            seek(r * m + step)
+            gen.random(out=out[i])
+        return out
+
+    return read
 
 
 def _run_chunk(n, params, master_seed, mode, chunk_index, start, stop) -> ReplicationBlock:
     rows, m = stop - start, 2 * n + 1
-    u_sel = _uniforms(master_seed, chunk_index, 0, rows, m)
-    u_hold = _uniforms(master_seed, chunk_index, 1, rows, m) if mode == "exact-time" else None
-    x, u, jumps, times = _chunk_kernel(n, params, u_sel, u_hold)
+    sel = _philox_rows(master_seed, chunk_index, 0, rows, m)
+    hold = _philox_rows(master_seed, chunk_index, 1, rows, m) if mode == "exact-time" else None
+
+    def refill(live, step):
+        return sel(live, step), hold(live, step) if hold else None
+
+    # The first blocks are drawn before the kernel allocates its state and
+    # held until the result is built, as the whole-matrix draw was; moving
+    # either step raised peak RSS at N = 200 by about 2.5 MiB.
+    first = refill(np.arange(rows), 0)
+    x, u, jumps, times = _chunk_kernel(n, params, first, refill)
     return ReplicationBlock(start=start, x=x, u=u, z=n + 1 - x - u, jumps=jumps,
                             absorption_time=times)
 

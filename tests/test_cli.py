@@ -254,6 +254,25 @@ class TestConfigAndOutput:
         assert out == ""
         assert "--n" in err and "2.7" in err
 
+    def test_unknown_config_key_exits_2(self, capsys, tmp_path):
+        # a key the command does not read is a usage error naming the key,
+        # not a silent fall-back to the default
+        cases = [
+            ("simulate", {"preset": "dk", "n": 10, "rpes": 5}, "'rpes'"),
+            ("simulate", {"preset": "dk", "n": 10, "reps": 5, "workers": 2}, "'workers'"),
+            ("verify", {"preset": "dk", "n": 10, "reps": 5, "sed": 3}, "'sed'"),
+            ("limit", {"preset": "dk", "n": 10}, "'n'"),
+            ("oracle", {"preset": "dk", "n": 3, "rho": 0.3}, "'rho'"),
+            ("clt", {"lambda": 1, "gamma": 1, "theta1": 1, "theta2": 0, "delta": 1,
+                     "alpha": 0.5}, "'alpha'"),
+        ]
+        for cmd, body, key in cases:
+            cfg = tmp_path / "unknown.json"
+            cfg.write_text(json.dumps(body))
+            code, out, err = run_cli(capsys, cmd, "--config", str(cfg))
+            assert (code, out) == (2, ""), (cmd, body)
+            assert key in err and cmd in err, err
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "out.json"
         code, out, _ = run_cli(capsys, "limit", "--preset", "dk",

@@ -14,6 +14,11 @@ The summed absorption time can hide a one-ulp change in one step's total
 weight, so a second check sees every step's total on its own: along paths
 drawn from the chain's own law, one kernel row per step whose holding
 uniforms are zero except at that step.
+
+The kernel reads its uniforms in column blocks.  Every case runs at the
+default block width and again at widths 3 and 7, so refills fall in the
+middle of paths, and must give the same results at each.  The Philox
+block reader is checked against the whole-matrix draw it replaces.
 """
 
 import math
@@ -22,8 +27,11 @@ import numpy as np
 import pytest
 
 from conftest import random_params, rng_for
+from rumour import simulate
 from rumour.model import preset_params, rate_weights
-from rumour.simulate import _chunk_kernel
+from rumour.simulate import _chunk_kernel, _philox_rows
+
+BLOCKS = (simulate._BLOCK, 3, 7)
 
 MOVES = ((-1, 0, 1), (-1, 1, 0), (0, 0, -2), (0, 0, -1))  # on (x, u, y)
 
@@ -62,10 +70,20 @@ def path_time(p, u_hold, wsums):
     return t
 
 
+def reader(sel, hold):
+    """The kernel's refill over explicit uniform arrays, simulate._BLOCK
+    columns at a time."""
+    def read(live, step):
+        cols = slice(step, step + simulate._BLOCK)
+        return sel[live, cols], None if hold is None else hold[live, cols]
+    return read
+
+
 def run_kernel(n, p, sel_rows, hold_rows, want_time):
     """Run the kernel on the given rows of uniforms (each padded with 0.5
-    to the 2n + 1 a replication may use); return its per-row outputs, with
-    times None in jump-chain mode."""
+    to the 2n + 1 a replication may use) at every width in BLOCKS; check
+    that the widths agree and return the per-row outputs, with times None
+    in jump-chain mode."""
     m = 2 * n + 1
     rows = len(sel_rows)
     sel = np.full((rows, m), 0.5)
@@ -73,8 +91,16 @@ def run_kernel(n, p, sel_rows, hold_rows, want_time):
     for r in range(rows):
         sel[r, : len(sel_rows[r])] = sel_rows[r]
         hold[r, : len(hold_rows[r])] = hold_rows[r]
-    xs, us, js, ts = _chunk_kernel(n, p, sel, hold if want_time else None)
-    return xs.tolist(), us.tolist(), js.tolist(), ts.tolist() if want_time else None
+    results = []
+    for block in BLOCKS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "_BLOCK", block)
+            read = reader(sel, hold if want_time else None)
+            xs, us, js, ts = _chunk_kernel(n, p, read(np.arange(rows), 0), read)
+        results.append((xs.tolist(), us.tolist(), js.tolist(),
+                        ts.tolist() if want_time else None))
+    assert all(r == results[0] for r in results), "block widths disagree"
+    return results[0]
 
 
 def parameter_cases():
@@ -130,3 +156,44 @@ def test_kernel_total_weight_per_step():
             want = [holding_time(p, h, w) for h, w in zip(u_hold, wsums)]
             bad = [k for k in range(steps) if ts[k] != want[k]]
             assert not bad, (name, n, bad[:5])
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_philox_reader_matches_whole_matrix(block, monkeypatch):
+    # Row r of chunk c reads uniforms r*m ... r*m + m - 1 of the chunk's
+    # stream, in blocks from any column, for any subset of rows.
+    monkeypatch.setattr(simulate, "_BLOCK", block)
+    rng = rng_for("kernel-contract-philox")
+    rows = 9
+    for seed, c, stream in ((1729, 0, 0), (5, 3, 1)):
+        for m in (block - 1, block, block + 1, block + 2, 2 * block + 3, 2 * block + 4,
+                  2 * block + 5, 2 * block + 6):
+            if m < 1:
+                continue
+            seq = np.random.SeedSequence(entropy=(seed, c, stream))
+            whole = np.random.Generator(np.random.Philox(seq)).random((rows, m))
+            read = _philox_rows(seed, c, stream, rows, m)
+            everyone = np.arange(rows)
+            assert np.array_equal(read(everyone, 0), whole[:, :block]), (m, block)
+            for step in range(0, m, block):
+                live = np.sort(rng.choice(rows, size=int(rng.integers(1, rows + 1)),
+                                          replace=False))
+                got = read(live, step)
+                assert got.shape == (live.size, min(block, m - step))
+                assert np.array_equal(got, whole[live, step:step + block]), (m, block, step)
+
+
+@pytest.mark.parametrize("mode", ["jump-chain", "exact-time"])
+def test_chunks_same_at_every_block_width(mode, monkeypatch):
+    # The whole pipeline, Philox reader and kernel, gives the same results
+    # whatever the block width, including rows read in one call (width
+    # >= 2n + 1) against rows refilled many times.
+    p = preset_params("apq_dk", alpha=0.8, p=0.7, q=0.6)
+    results = []
+    for block in (simulate._BLOCK, 3, 7, 64):
+        monkeypatch.setattr(simulate, "_BLOCK", block)
+        blocks = list(simulate.iter_final_states(40, 120, p, 17, mode=mode))
+        results.append([(b.start, b.x.tolist(), b.u.tolist(), b.jumps.tolist(),
+                         None if b.absorption_time is None else b.absorption_time.tolist())
+                        for b in blocks])
+    assert all(r == results[0] for r in results)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,6 +131,21 @@ class TestMcStats:
             assert a.start == b.start and a.absorption_time is b.absorption_time is None
             for field in ("x", "u", "z", "jumps"):
                 assert np.array_equal(getattr(a, field), getattr(b, field))
+
+    def test_chunk_memory_independent_of_n(self):
+        # One full chunk at N = 5000 (419 rows): drawing its rows x (2N + 1)
+        # uniforms whole would take 32 MiB; blocks of _BLOCK columns take
+        # about 3.3 MiB each.
+        dk = preset_params("dk")
+        assert simulate._chunk_size(5000) == 419
+        tracemalloc.start()
+        try:
+            block = next(iter_final_states(5000, 419, dk, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(block.x) == 419
+        assert peak < 8 * 2**20, peak / 2**20
 
     def test_fraction_scale_properties(self):
         p = preset_params("dk")
