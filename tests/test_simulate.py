@@ -8,7 +8,7 @@ from conftest import random_params, rng_for
 from oracles import final_state_counts, goodness_of_fit
 from rumour.clt import CovMatrix2, clt_constants, sigma_matrix
 from rumour.errors import TooLarge
-from rumour.limits import solve_x_infinity
+from rumour.limits import LimitResult, solve_x_infinity
 from rumour import simulate
 from rumour.model import ModelParams, preset_params
 from rumour.simulate import (
@@ -315,6 +315,60 @@ class TestVerify:
         rep = verify(stats, lim, sigma)
         assert rep.passed
         assert abs(rep.sigma_emp.s11 - 0.427204) <= 0.05 * 0.427204
+
+    def test_report_object_exact(self):
+        # Hand-built statistics, no seed: four replications of N = 4 ending
+        # with x = [1, 1, 1, 2] ignorants.  Key order is part of the output.
+        def ordered(obj):
+            if isinstance(obj, dict):
+                return [(k, ordered(v)) for k, v in obj.items()]
+            return obj
+
+        def check(emp, theory, abs_err, rel_err, allowed, ok):
+            return {"emp": emp, "theory": theory, "abs_err": abs_err, "rel_err": rel_err,
+                    "allowed": allowed, "ok": ok}
+
+        # u = [0, 0, 0, 0] against a theory with s12 = s22 = 0: zero entries
+        # match exactly (rel_err 0) and the u-mean deviates by 0 of 0.
+        stats = McStats(reps=4, n=4, master_seed=0, sx=5, su=0, sxx=7, sxu=0, suu=0)
+        lim = LimitResult(0.25, 0.0, "bisection-newton", 0.0, 0)
+        rep = verify(stats, lim, CovMatrix2(0.25, 0.0, 0.0))
+        assert ordered(rep.to_json_obj()) == ordered({
+            "n": 4, "reps": 4, "x_inf": 0.25, "u_inf": 0.0, "mean_x": 0.3125, "mean_u": 0.0,
+            "x_mean_z": 0.5, "u_mean_z": 0.0,
+            "sigma_emp": [[0.0625, 0.0], [0.0, 0.0]],
+            "sigma_theory": [[0.25, 0.0], [0.0, 0.0]],
+            "checks": {
+                "s11": check(0.0625, 0.25, 0.1875, 0.75, 0.816496580927726, True),
+                "s12": check(0.0, 0.0, 0.0, 0.0, 0.0, True),
+                "s22": check(0.0, 0.0, 0.0, 0.0, 0.0, True),
+            },
+            "pass": True,
+        })
+        assert rep.passed
+
+        # u = [0, 1, 1, 2] against a theory with s11 = 0: the nonzero
+        # empirical s11 has rel_err inf and fails, the deviating x-mean has
+        # z = inf, and the verdict fails.
+        stats = McStats(reps=4, n=4, master_seed=0, sx=5, su=4, sxx=7, sxu=6, suu=6)
+        lim = LimitResult(0.25, 0.5, "bisection-newton", 0.0, 0)
+        rep = verify(stats, lim, CovMatrix2(0.0, 0.0625, 0.25))
+        twelfth, sixth = 0.08333333333333333, 0.16666666666666666
+        assert ordered(rep.to_json_obj()) == ordered({
+            "n": 4, "reps": 4, "x_inf": 0.25, "u_inf": 0.5, "mean_x": 0.3125, "mean_u": 0.25,
+            "x_mean_z": math.inf, "u_mean_z": -2.0,
+            "sigma_emp": [[0.0625, twelfth], [twelfth, sixth]],
+            "sigma_theory": [[0.0, 0.0625], [0.0625, 0.25]],
+            "checks": {
+                "s11": check(0.0625, 0.0, 0.0625, math.inf, 0.0, False),
+                "s12": check(twelfth, 0.0625, 0.02083333333333333, 0.33333333333333326,
+                             0.14433756729740643, True),
+                "s22": check(sixth, 0.25, 0.08333333333333334, 0.33333333333333337,
+                             0.816496580927726, True),
+            },
+            "pass": False,
+        })
+        assert not rep.passed
 
     def test_needs_replications(self):
         p = preset_params("dk")
