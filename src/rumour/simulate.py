@@ -403,58 +403,15 @@ COV_Z_MAX = 4.0
 
 
 @dataclass(frozen=True)
-class EntryCheck:
-    name: str
-    emp: float
-    theory: float
-    abs_err: float
-    allowed: float
-    ok: bool
-
-    def to_json_obj(self) -> dict:
-        rel = self.abs_err / abs(self.theory) if self.theory != 0.0 else (
-            0.0 if self.abs_err == 0.0 else math.inf
-        )
-        return {
-            "emp": self.emp,
-            "theory": self.theory,
-            "abs_err": self.abs_err,
-            "rel_err": rel,
-            "allowed": self.allowed,
-            "ok": self.ok,
-        }
-
-
-@dataclass(frozen=True)
 class VerificationReport:
-    n: int
-    reps: int
-    x_inf: float
-    u_inf: float
-    mean_x: float
-    mean_u: float
-    x_mean_z: float
-    u_mean_z: float
-    sigma_emp: CovMatrix2
-    sigma_theory: CovMatrix2
-    checks: tuple[EntryCheck, ...]
+    """Verdict of `verify`; `to_json_obj()` is the printed report."""
+
     passed: bool
+    sigma_emp: CovMatrix2
+    obj: dict
 
     def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "reps": self.reps,
-            "x_inf": self.x_inf,
-            "u_inf": self.u_inf,
-            "mean_x": self.mean_x,
-            "mean_u": self.mean_u,
-            "x_mean_z": self.x_mean_z,
-            "u_mean_z": self.u_mean_z,
-            "sigma_emp": self.sigma_emp.to_json_obj(),
-            "sigma_theory": self.sigma_theory.to_json_obj(),
-            "checks": {c.name: c.to_json_obj() for c in self.checks},
-            "pass": self.passed,
-        }
+        return self.obj
 
 
 def _mean_z(dev: float, var_theory: float, n: int, reps: int) -> float:
@@ -471,13 +428,8 @@ def verify(stats: McStats, lim: LimitResult, sigma: CovMatrix2) -> VerificationR
     if stats.reps < 2:
         raise ValueError("verification needs at least two replications")
     emp = stats.cov_sqrt_n()
-    mean_x = stats.mean_x()
-    mean_u = stats.mean_u()
-    xz = _mean_z(mean_x - lim.x_inf, sigma.s11, stats.n, stats.reps)
-    uz = _mean_z(mean_u - lim.u_inf, sigma.s22, stats.n, stats.reps)
-
-    r = stats.reps
-    checks = []
+    n, r = stats.n, stats.reps
+    checks = {}
     for name, e, t, vii, vjj in (
         ("s11", emp.s11, sigma.s11, sigma.s11, sigma.s11),
         ("s12", emp.s12, sigma.s12, sigma.s11, sigma.s22),
@@ -486,26 +438,19 @@ def verify(stats: McStats, lim: LimitResult, sigma: CovMatrix2) -> VerificationR
         wishart_se = math.sqrt((vii * vjj + t * t) / (r - 1))
         allowed = max(COV_REL_TOL * abs(t), COV_Z_MAX * wishart_se)
         err = abs(e - t)
-        checks.append(
-            EntryCheck(name=name, emp=e, theory=t, abs_err=err, allowed=allowed, ok=err <= allowed)
-        )
+        rel = err / abs(t) if t != 0.0 else (0.0 if err == 0.0 else math.inf)
+        checks[name] = {"emp": e, "theory": t, "abs_err": err, "rel_err": rel,
+                        "allowed": allowed, "ok": err <= allowed}
 
-    passed = (
-        abs(xz) <= MEAN_Z_MAX
-        and abs(uz) <= MEAN_Z_MAX
-        and all(c.ok for c in checks)
-    )
-    return VerificationReport(
-        n=stats.n,
-        reps=stats.reps,
-        x_inf=lim.x_inf,
-        u_inf=lim.u_inf,
-        mean_x=mean_x,
-        mean_u=mean_u,
-        x_mean_z=xz,
-        u_mean_z=uz,
-        sigma_emp=emp,
-        sigma_theory=sigma,
-        checks=tuple(checks),
-        passed=passed,
-    )
+    mean_x, mean_u = stats.mean_x(), stats.mean_u()
+    obj = {
+        "n": n, "reps": r, "x_inf": lim.x_inf, "u_inf": lim.u_inf,
+        "mean_x": mean_x, "mean_u": mean_u,
+        "x_mean_z": _mean_z(mean_x - lim.x_inf, sigma.s11, n, r),
+        "u_mean_z": _mean_z(mean_u - lim.u_inf, sigma.s22, n, r),
+        "sigma_emp": emp.to_json_obj(), "sigma_theory": sigma.to_json_obj(),
+        "checks": checks,
+    }
+    obj["pass"] = (abs(obj["x_mean_z"]) <= MEAN_Z_MAX and abs(obj["u_mean_z"]) <= MEAN_Z_MAX
+                   and all(c["ok"] for c in checks.values()))
+    return VerificationReport(passed=obj["pass"], sigma_emp=emp, obj=obj)

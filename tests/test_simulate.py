@@ -293,8 +293,8 @@ class TestVerify:
         rep = verify(stats, lim, sigma)
         emp = rep.sigma_emp
         assert emp.s12 == 0.0 and emp.s22 == 0.0
-        assert rep.u_mean_z == 0.0
-        assert rep.mean_u == 0.0
+        assert rep.to_json_obj()["u_mean_z"] == 0.0
+        assert rep.to_json_obj()["mean_u"] == 0.0
 
     def test_sensitivity_to_wrong_sigma(self):
         p = preset_params("mt")
