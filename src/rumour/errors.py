@@ -14,7 +14,8 @@ class DomainError(RumourError, ValueError):
 
 
 class NoBracket(RumourError):
-    """Root bracketing failed.  Cannot happen for validated parameters."""
+    """Root bracketing failed: the limiting fraction x_inf underflows the
+    normal float range, as it does for gamma small against delta."""
 
 
 class NotApplicable(RumourError):

@@ -23,6 +23,7 @@ other.  The root never depends on lambda.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from rumour.errors import DomainError, NoBracket, NotApplicable
@@ -32,10 +33,19 @@ from rumour.model import ModelParams
 # float noise of computing theta1 + theta2 - gamma.
 THETA_EPS = 1e-9
 
-# target: |f(root)| <= RESIDUAL_TOL * max(1, |f'(root)|)
+# Newton stops at |f(x)| <= RESIDUAL_TOL * max(1, |f'(x)|) * min(1, 100 x):
+# its next step, about the error left in x, is then below 1e-12 absolute
+# and, for roots below 0.01, below 1e-10 relative.
 RESIDUAL_TOL = 1e-12
 
+# Bisection stops at a bracket (a, b) narrower than
+# _BISECT_WIDTH * min(1, 100 b): absolute width above 0.01, relative width
+# 1e-6 below it, where an absolute width would swamp the root.
 _BISECT_WIDTH = 1e-8
+
+# Smallest positive normal float.  A root below it would be subnormal and
+# carry fewer significant bits, so it is reported as an underflow.
+_X_MIN = sys.float_info.min
 _BRANCH_POINT = -math.exp(-1.0)  # -1/e
 
 
@@ -126,6 +136,10 @@ def f_theta_eval(x: float, p: ModelParams) -> float:
     return _target(p)[0](x)
 
 
+def _underflow(p: ModelParams) -> NoBracket:
+    return NoBracket(f"x_inf underflows: it lies below {_X_MIN!r} for {p}")
+
+
 def solve_x_infinity(p: ModelParams) -> LimitResult:
     """Solve for the limiting ignorant fraction by bracketed bisection plus
     a Newton polish.
@@ -133,24 +147,23 @@ def solve_x_infinity(p: ModelParams) -> LimitResult:
     The bracket is (lo, interior maximiser) with lo halved from 1e-6 until
     the function is negative there; unimodality makes the left root the
     only zero inside.  Newton steps that would leave the bracket fall back
-    to bisection.
+    to bisection.  The root comes out to relative accuracy however small
+    it is; one below the normal float range raises NoBracket.
     """
     f, df, top = _target(p)
     iters = 0
 
     lo = min(1e-6, 0.5 * top)
-    for _ in range(200):
-        if f(lo) < 0.0:
-            break
+    while not f(lo) < 0.0:
         lo *= 0.5
         iters += 1
-    else:
-        raise NoBracket(f"no negative left endpoint found for {p}")
+        if lo < _X_MIN:
+            raise _underflow(p)
     if not f(top) > 0.0:
         raise NoBracket(f"function not positive at its maximiser for {p}")
 
     a, b = lo, top
-    while b - a > _BISECT_WIDTH:
+    while b - a > _BISECT_WIDTH * min(1.0, 100.0 * b):
         m = 0.5 * (a + b)
         if f(m) < 0.0:
             a = m
@@ -162,7 +175,7 @@ def solve_x_infinity(p: ModelParams) -> LimitResult:
     for _ in range(40):
         fx = f(x)
         dfx = df(x)
-        if abs(fx) <= RESIDUAL_TOL * max(1.0, abs(dfx)):
+        if abs(fx) <= RESIDUAL_TOL * max(1.0, abs(dfx)) * min(1.0, 100.0 * x):
             break
         step_to = x - fx / dfx if dfx != 0.0 else a
         if not a < step_to < b:
@@ -265,7 +278,8 @@ def x_infinity_closed_form(p: ModelParams) -> LimitResult:
         theta = 1    x = -1 / (h * W-1(-exp(-1/h)/h))
         theta = 1/2  x = (gamma / (gamma + delta))**2
 
-    Raises NotApplicable for any other theta.
+    Raises NotApplicable for any other theta, and NoBracket when x lies
+    below the normal float range, as solve_x_infinity does.
     """
     g, d = p.gamma, p.delta
     th = p.theta
@@ -285,6 +299,8 @@ def x_infinity_closed_form(p: ModelParams) -> LimitResult:
         method = "closed-half"
     else:
         raise NotApplicable(f"no closed form at theta = {th}")
+    if not x >= _X_MIN:
+        raise _underflow(p)
     return LimitResult(
         x_inf=x,
         u_inf=u_infinity(d, x),

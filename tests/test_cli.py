@@ -38,6 +38,19 @@ class TestLimit:
         assert code == 2
         assert "theta" in err
 
+    def test_small_root_to_relative_accuracy(self, capsys):
+        # theta = 0, gamma = 0.01, delta = 1; closed form x_inf = 1.37e-44
+        closed = 1.368539471173853e-44
+        obj = run_json(capsys, "limit", "--lambda", "1", "--gamma", "0.01",
+                       "--theta1", "0.01", "--theta2", "0", "--delta", "1")
+        assert abs(obj["x_inf"] - closed) <= 1e-10 * closed
+
+    def test_underflowing_root_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "limit", "--lambda", "1", "--gamma", "1e-4",
+                                 "--theta1", "1e-4", "--theta2", "0", "--delta", "1")
+        assert code == 2 and out == ""
+        assert "underflows" in err
+
     def test_requires_complete_parameters(self, capsys):
         code, _, err = run_cli(capsys, "limit", "--lambda", "1")
         assert code == 2

@@ -5,7 +5,7 @@ import pytest
 import scipy.special
 
 from conftest import random_params, rng_for
-from rumour.errors import DomainError, NotApplicable
+from rumour.errors import DomainError, NotApplicable, RumourError
 from rumour.limits import (
     f_theta_eval,
     lambert_w0,
@@ -119,6 +119,28 @@ class TestSolver:
                 p = random_params(rng, theta=th)
                 lim = solve_x_infinity(p)
                 assert 0.0 < lim.x_inf < p.gamma / (p.gamma + p.delta)
+
+    @pytest.mark.parametrize("theta", [0.0, 1.0])
+    @pytest.mark.parametrize("gamma", [0.05, 0.03, 0.01, 0.005])
+    def test_small_roots_relative_to_closed_form(self, theta, gamma):
+        # at theta = 0, x_inf runs from 7.6e-10 down to 5.1e-88
+        p = params_theta(gamma=gamma, delta=1.0, theta=theta)
+        closed = x_infinity_closed_form(p).x_inf
+        assert abs(solve_x_infinity(p).x_inf - closed) <= 1e-10 * closed
+
+    def test_small_interior_roots_bracketed(self):
+        for theta, gamma in ((0.02, 0.02), (0.05, 0.01), (0.3, 0.01), (0.5, 0.001)):
+            p = params_theta(gamma=gamma, delta=1.0, theta=theta)
+            x = solve_x_infinity(p).x_inf
+            assert f_theta_eval(x * (1 - 1e-9), p) < 0.0 < f_theta_eval(x * (1 + 1e-9), p)
+
+    def test_underflowing_root_raises(self):
+        # x_inf = exp(-10001) at theta = 0, far below the float range
+        p = params_theta(gamma=1e-4, delta=1.0, theta=0.0)
+        with pytest.raises(RumourError, match="underflows"):
+            solve_x_infinity(p)
+        with pytest.raises(RumourError, match="underflows"):
+            x_infinity_closed_form(p)
 
     def test_lambda_independent_bitwise(self):
         ref = solve_x_infinity(
