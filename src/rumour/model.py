@@ -93,10 +93,7 @@ class ModelParams:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ModelParams":
-        """Accepts either the flat five-key form or a preset object."""
-        if "preset" in obj:
-            aux = {k: v for k, v in obj.items() if k != "preset"}
-            return preset_params(obj["preset"], **aux)
+        """Inverse of to_json_obj: the flat five-key form."""
         try:
             return cls(
                 lam=float(obj["lambda"]),

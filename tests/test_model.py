@@ -205,10 +205,6 @@ class TestSerialization:
         assert list(obj) == ["lambda", "gamma", "theta1", "theta2", "delta"]
         assert ModelParams.from_json_obj(obj) == p
 
-    def test_preset_object(self):
-        obj = {"preset": "apq_dk", "alpha": 1, "p": 1, "q": 1}
-        assert ModelParams.from_json_obj(obj) == preset_params("dk")
-
     def test_missing_key(self):
         with pytest.raises(ConstraintViolation, match="delta"):
             ModelParams.from_json_obj({"lambda": 1, "gamma": 1, "theta1": 1, "theta2": 0})
