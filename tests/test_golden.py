@@ -334,6 +334,10 @@ def test_every_subcommand_covered():
     }
 
 
+def test_no_stale_digests():
+    assert set(GOLDEN) == set(CASES)
+
+
 if __name__ == "__main__":
     import tempfile
     from pathlib import Path
