@@ -33,19 +33,15 @@ from rumour.model import ModelParams
 # float noise of computing theta1 + theta2 - gamma.
 THETA_EPS = 1e-9
 
-# Newton stops at |f(x)| <= RESIDUAL_TOL * max(1, |f'(x)|) * min(1, 100 x):
-# its next step, about the error left in x, is then below 1e-12 absolute
-# and, for roots below 0.01, below 1e-10 relative.
+# Newton stops at |f(x)| <= RESIDUAL_TOL * max(1, |f'(x)|) * min(1, 100 x).
+# Where |f'| >= 1 its next step, about the error left in x, is then below
+# 1e-12 absolute and, for roots below 0.01, below 1e-10 relative.
 RESIDUAL_TOL = 1e-12
 
 # Bisection stops at a bracket (a, b) narrower than
 # _BISECT_WIDTH * min(1, 100 b): absolute width above 0.01, relative width
 # 1e-6 below it, where an absolute width would swamp the root.
 _BISECT_WIDTH = 1e-8
-
-# Smallest positive normal float.  A root below it would be subnormal and
-# carry fewer significant bits, so it is reported as an underflow.
-_X_MIN = sys.float_info.min
 _BRANCH_POINT = -math.exp(-1.0)  # -1/e
 
 
@@ -137,7 +133,9 @@ def f_theta_eval(x: float, p: ModelParams) -> float:
 
 
 def _underflow(p: ModelParams) -> NoBracket:
-    return NoBracket(f"x_inf underflows: it lies below {_X_MIN!r} for {p}")
+    """A root below the smallest normal float would be subnormal, with
+    fewer significant bits than relative accuracy needs."""
+    return NoBracket(f"x_inf underflows: it lies below {sys.float_info.min!r} for {p}")
 
 
 def solve_x_infinity(p: ModelParams) -> LimitResult:
@@ -157,7 +155,7 @@ def solve_x_infinity(p: ModelParams) -> LimitResult:
     while not f(lo) < 0.0:
         lo *= 0.5
         iters += 1
-        if lo < _X_MIN:
+        if lo < sys.float_info.min:
             raise _underflow(p)
     if not f(top) > 0.0:
         raise NoBracket(f"function not positive at its maximiser for {p}")
@@ -299,7 +297,7 @@ def x_infinity_closed_form(p: ModelParams) -> LimitResult:
         method = "closed-half"
     else:
         raise NotApplicable(f"no closed form at theta = {th}")
-    if not x >= _X_MIN:
+    if not x >= sys.float_info.min:
         raise _underflow(p)
     return LimitResult(
         x_inf=x,
