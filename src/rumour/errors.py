@@ -15,7 +15,8 @@ class DomainError(RumourError, ValueError):
 
 class NoBracket(RumourError):
     """Root bracketing failed: the limiting fraction x_inf underflows the
-    normal float range, as it does for gamma small against delta."""
+    normal float range (gamma small against delta), or delta is so small
+    that f rounds to zero at its maximiser next to x = 1."""
 
 
 class NotApplicable(RumourError):
