@@ -341,6 +341,47 @@ class TestConfigAndOutput:
         assert (code, out, err) == (0, "", "")
 
 
+class TestUnreadValues:
+    # a flag or --config key the command does not read is refused the
+    # same way whichever route gave it, not dropped in silence
+    EXPLICIT = ["--lambda", "1", "--gamma", "1", "--theta1", "1.5", "--theta2", "0",
+                "--delta", "1"]
+
+    def test_unread_flag_exits_2(self, capsys):
+        cases = [
+            (["limit", "--preset", "dk", "--rho", "0.5"], "--rho"),
+            (["limit"] + self.EXPLICIT + ["--alpha", "0.3"], "--alpha"),
+            (["clt", "--preset", "rho", "--rho", "0.5", "--q", "0.5"], "--q"),
+        ]
+        for argv, flag in cases:
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert flag in err, err
+
+    def test_unread_flag_exits_before_simulating(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulation started")
+
+        monkeypatch.setattr(simulate, "iter_final_states", refuse)
+        code, out, err = run_cli(capsys, "verify", "--preset", "dk", "--q", "0.5",
+                                 "--n", "1000000", "--reps", "2")
+        assert (code, out) == (2, "")
+        assert "--q" in err
+
+    def test_unread_flag_and_config_key_named_together(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"preset": "dk", "n": 10, "reps": 5, "rpes": 5}))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg), "--alpha", "0.5")
+        assert (code, out) == (2, "")
+        assert "--alpha" in err and "'rpes'" in err and str(cfg) in err, err
+
+    def test_preset_auxiliary_values_accepted(self, capsys):
+        # kawachi's own gamma is one of its auxiliary values
+        obj = run_json(capsys, "limit", "--preset", "kawachi", "--alpha", "0.5",
+                       "--beta", "0.3", "--gamma", "0.5", "--theta", "0.7")
+        assert obj["preset"]["gamma"] == 0.5
+
+
 def test_import_loads_no_scipy():
     # scipy.integrate is most of a CLI start; only clt --cross-check uses it
     src = os.path.dirname(os.path.dirname(simulate.__file__))

@@ -5,7 +5,7 @@ import pytest
 import scipy.special
 
 from conftest import random_params, rng_for
-from rumour.errors import DomainError, NotApplicable, RumourError
+from rumour.errors import DomainError, NoBracket, NotApplicable, RumourError
 from rumour.limits import (
     f_theta_eval,
     lambert_w0,
@@ -141,6 +141,14 @@ class TestSolver:
             solve_x_infinity(p)
         with pytest.raises(RumourError, match="underflows"):
             x_infinity_closed_form(p)
+        # a subnormal gamma overflows h = 1 + delta/gamma on the closed-form
+        # route; both routes still name the underflow
+        for gamma in (1e-309, 1e-320):
+            for theta in (0.0, 1.0):
+                p = params_theta(gamma=gamma, delta=1.0, theta=theta)
+                for solve in (solve_x_infinity, x_infinity_closed_form):
+                    with pytest.raises(NoBracket, match="underflows"):
+                        solve(p)
 
     def test_lambda_independent_bitwise(self):
         ref = solve_x_infinity(
