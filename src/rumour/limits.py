@@ -283,6 +283,8 @@ def x_infinity_closed_form(p: ModelParams) -> LimitResult:
     th = p.theta
     b = theta_branch(th)
     h = 1.0 + d / g
+    if b is not None and not math.isfinite(h):
+        raise _underflow(p)  # x < 1/h lies below the float range
     if b == 0:
         w, iters = _lambert_w0_impl(-h * math.exp(-h))
         x = -w / h
