@@ -4,6 +4,9 @@ Subcommands: limit, clt, fluid, simulate, verify, oracle, presets.
 Model parameters come either from the five explicit flags or from
 --preset plus its auxiliary flags (exactly one of the two), optionally
 seeded from a JSON --config file (explicit flags override the file).
+A flag or --config key the command does not read is a usage error: --q
+with --preset dk, --alpha beside the five explicit parameters, a
+misspelt 'rpes', or 'n' given to limit.
 
 All randomness flows from --seed (default 1729, never time-based), and
 output is deterministic: fixed key order, floats at 17 significant
@@ -48,9 +51,10 @@ _AUX = tuple(dict.fromkeys(a for info in PRESETS.values() for a in info.aux
                            if a not in _DIRECT_HELP))
 
 # Keys that hold integers; preset and mode hold strings, every other key
-# a real number.
+# a real number.  --workers is accepted and ignored, so it is not a key.
 _INT_KEYS = ("n", "reps", "seed")
 _STR_KEYS = ("preset", "mode")
+_KEYS = ("preset", *_DIRECT_HELP, *_AUX, *_INT_KEYS, "mode")
 
 
 class UsageError(Exception):
@@ -92,21 +96,10 @@ def _output(path: str | None):
             raise
 
 
-class _Config(dict):
-    """The --config object; it records every key read from it."""
-
-    def __init__(self, obj=()):
-        super().__init__(obj)
-        self.read = set()
-
-    def get(self, key, default=None):
-        self.read.add(key)
-        return super().get(key, default)
-
-
-def _load_config(path: str | None) -> _Config:
+def _load_config(path: str | None) -> dict:
+    """The --config object, each value converted to its key's type."""
     if not path:
-        return _Config()
+        return {}
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -114,18 +107,14 @@ def _load_config(path: str | None) -> _Config:
         raise UsageError(f"--config {path}: {e}")
     if not isinstance(cfg, dict):
         raise UsageError(f"--config {path}: expected a JSON object")
-    return _Config(cfg)
+    return {k: _typed(k, v) for k, v in cfg.items()}
 
 
-def _merged(ns, cfg: dict, key: str):
-    """The flag's value, else the config file's, else None, converted to
-    the key's type.  A value of the wrong type ("abc" or a JSON boolean for
-    a number, 2.7 for an integer) is a usage error naming the key."""
-    in_file = cfg.get(key)  # read even when the flag overrides it
-    val = getattr(ns, key, None)
-    if val is None:
-        val = in_file
-    if val is None or key in _STR_KEYS:
+def _typed(key: str, val):
+    """A --config value converted to its key's type.  A value of the wrong
+    type ("abc" or a JSON boolean for a number, 2.7 for an integer) is a
+    usage error naming the key; a key the CLI does not know stays as is."""
+    if val is None or key in _STR_KEYS or key not in _KEYS:
         return val
     kind = int if key in _INT_KEYS else float
     try:
@@ -139,26 +128,24 @@ def _merged(ns, cfg: dict, key: str):
     return out
 
 
-def _resolve_params(ns, cfg: dict) -> tuple[ModelParams, dict | None]:
-    """Return (params, preset echo) from flags plus config."""
-    preset = _merged(ns, cfg, "preset")
-    direct = {k: _merged(ns, cfg, k) for k in _DIRECT_HELP}
+# The readers below take each value they read out of the record of given
+# values (flags over --config), so what is left was given and not read.
+
+
+def _resolve_params(given: dict) -> tuple[ModelParams, dict | None]:
+    """Return (params, preset echo): the preset and its auxiliary values,
+    or else the five explicit parameters."""
+    preset = given.pop("preset", None)
     if preset is not None:
         info = PRESETS.get(preset) if isinstance(preset, str) else None
         if info is None:
             raise UsageError(f"--preset {preset!r} unknown; known: {', '.join(sorted(PRESETS))}")
-        clash = [k for k, v in direct.items() if v is not None and k not in info.aux]
-        if clash:
-            raise UsageError(
-                f"--preset {preset} conflicts with explicit --{', --'.join(clash)}"
-            )
-        aux = {}
-        for name in info.aux:
-            val = _merged(ns, cfg, name)
-            if val is None:
-                raise UsageError(f"--preset {preset} needs --{name}")
-            aux[name] = val
+        aux = {name: given.pop(name, None) for name in info.aux}
+        missing = [k for k, v in aux.items() if v is None]
+        if missing:
+            raise UsageError(f"--preset {preset} needs --{missing[0]}")
         return preset_params(preset, **aux), {"preset": preset, **aux}
+    direct = {k: given.pop(k, None) for k in _DIRECT_HELP}
     missing = [k for k, v in direct.items() if v is None]
     if len(missing) == 5:
         raise UsageError("provide either --preset or the five explicit parameters")
@@ -167,8 +154,8 @@ def _resolve_params(ns, cfg: dict) -> tuple[ModelParams, dict | None]:
     return ModelParams.from_json_obj(direct), None
 
 
-def _population(ns, cfg: dict) -> int:
-    n = _merged(ns, cfg, "n")
+def _population(given: dict) -> int:
+    n = given.pop("n", None)
     if n is None:
         raise UsageError("--n is required")
     if n < 1:
@@ -176,17 +163,17 @@ def _population(ns, cfg: dict) -> int:
     return n
 
 
-def _sim_config(ns, cfg: dict, min_reps: int) -> tuple[int, int, int, str]:
-    n = _population(ns, cfg)
-    reps = _merged(ns, cfg, "reps")
+def _sim_config(given: dict, min_reps: int) -> tuple[int, int, int, str]:
+    n = _population(given)
+    reps = given.pop("reps", None)
     reps = reps if reps is not None else DEFAULT_REPS
     if reps < min_reps:
         raise UsageError(f"--reps must be >= {min_reps}, got {reps}")
-    seed = _merged(ns, cfg, "seed")
+    seed = given.pop("seed", None)
     seed = seed if seed is not None else DEFAULT_SEED
     if seed < 0:
         raise UsageError(f"--seed must be a non-negative integer, got {seed}")
-    mode = _merged(ns, cfg, "mode") or "jump-chain"
+    mode = given.pop("mode", None) or "jump-chain"
     if mode not in sim_mod.MODES:
         raise UsageError(f"--mode must be one of {sim_mod.MODES}, got {mode!r}")
     return n, reps, seed, mode
@@ -306,7 +293,7 @@ _SIM_FLAGS = (
 _FORMAT_FLAG = ("--format", dict(choices=("json", "csv"), default="json"))
 
 # name: (help, command, takes model parameters, settings reader
-# (ns, cfg) -> settings or None, its own flags)
+# (given values) -> settings or None, its own flags)
 COMMANDS = {
     "limit": ("limiting ignorant/uninterested fractions", cmd_limit, True, None, ()),
     "clt": ("CLT constants, Sigma and t_inf", cmd_clt, True, None, (
@@ -317,10 +304,10 @@ COMMANDS = {
         ("--t-max", dict(type=float, help="grid upper end (default: t_inf)")),
         _FORMAT_FLAG)),
     "simulate": ("Monte Carlo simulation summary", cmd_simulate, True,
-                 lambda ns, cfg: _sim_config(ns, cfg, 0), _SIM_FLAGS + (
+                 lambda given: _sim_config(given, 0), _SIM_FLAGS + (
         ("--dump", dict(help="also stream per-replication finals to this CSV path")),)),
     "verify": ("verify theory against Monte Carlo", cmd_verify, True,
-               lambda ns, cfg: _sim_config(ns, cfg, 2), _SIM_FLAGS),
+               lambda given: _sim_config(given, 2), _SIM_FLAGS),
     "oracle": ("exact small-N final-state distribution", cmd_oracle, True, _population, (
         ("--n", dict(type=int, help="population parameter N")), _FORMAT_FLAG)),
     "presets": ("list presets and their mappings", cmd_presets, False, None, ()),
@@ -354,17 +341,21 @@ def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     _, command, takes_params, read_settings, _ = COMMANDS[ns.command]
     try:
-        cfg, params, header = _Config(), None, {}
+        cfg = _load_config(getattr(ns, "config", None))
+        flags = [k for k in _KEYS if getattr(ns, k, None) is not None]
+        given = cfg | {k: getattr(ns, k) for k in flags}
+        params, header = None, {}
         if takes_params:
-            cfg = _load_config(ns.config)
-            params, echo = _resolve_params(ns, cfg)
+            params, echo = _resolve_params(given)
             header = ({"preset": echo} if echo else {}) | {"params": params.to_json_obj()}
-        settings = read_settings(ns, cfg) if read_settings else None
-        # the accepted keys are exactly those the command has read
-        unread = sorted(set(cfg) - cfg.read)
+        settings = read_settings(given) if read_settings else None
+        # the accepted values are exactly those the command has read
+        unread = [f"--{k}" for k in flags if k in given]
+        unread_cfg = sorted(k for k in cfg if k in given)
+        if unread_cfg:
+            unread.append(f"{', '.join(map(repr, unread_cfg))} from --config {ns.config}")
         if unread:
-            raise UsageError(f"--config {ns.config}: {ns.command} does not read "
-                             f"{', '.join(map(repr, unread))}")
+            raise UsageError(f"{ns.command} does not read {', '.join(unread)}")
         with _output(ns.output) as write:
             code, text = command(ns, settings, params, header)
             write(text)
@@ -372,7 +363,6 @@ def main(argv=None) -> int:
     except (UsageError, RumourError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-
 
 if __name__ == "__main__":
     sys.exit(main())
