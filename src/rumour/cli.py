@@ -364,5 +364,6 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
+
 if __name__ == "__main__":
     sys.exit(main())

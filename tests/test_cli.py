@@ -375,12 +375,6 @@ class TestUnreadValues:
         assert (code, out) == (2, "")
         assert "--alpha" in err and "'rpes'" in err and str(cfg) in err, err
 
-    def test_preset_auxiliary_values_accepted(self, capsys):
-        # kawachi's own gamma is one of its auxiliary values
-        obj = run_json(capsys, "limit", "--preset", "kawachi", "--alpha", "0.5",
-                       "--beta", "0.3", "--gamma", "0.5", "--theta", "0.7")
-        assert obj["preset"]["gamma"] == 0.5
-
 
 def test_import_loads_no_scipy():
     # scipy.integrate is most of a CLI start; only clt --cross-check uses it
