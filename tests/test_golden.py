@@ -71,6 +71,12 @@ CASES.update({
                                 "--mode", "exact-time"] + POINTS["dk"],
     "presets": ["presets"],
     "output-file": ["clt", "--output", "{out}"] + POINTS["explicit"],
+    # The sizes the theory-sweep benchmark runs; delta < 1 at the explicit
+    # point gives the oracle a two-dimensional support.
+    "oracle-json-explicit-n60": ["oracle", "--n", "60"] + POINTS["explicit"],
+    "oracle-csv-explicit-n60": ["oracle", "--n", "60", "--format", "csv"] + POINTS["explicit"],
+    "oracle-json-hayes-n60": ["oracle", "--n", "60"] + POINTS["hayes"],
+    "fluid-json-apq_dk-201": ["fluid", "--points", "201"] + POINTS["apq_dk"],
 })
 
 
@@ -173,6 +179,9 @@ GOLDEN = {
     'fluid-json-apq_dk': (0, [
         '302861545c7eec29c33e558002ca6803e4e43c710a28808d86c8c6882dbb23a1',
     ]),
+    'fluid-json-apq_dk-201': (0, [
+        '965ba65e5a8209c4c8adbf842bb83c589ddde9d392332678d2a12bb8da0a39b9',
+    ]),
     'fluid-json-apq_mt': (0, [
         'f78b7358310cb7ceb5d471a1efa4df9511b86e20908d693d704552f46062aab7',
     ]),
@@ -239,6 +248,9 @@ GOLDEN = {
     'oracle-csv-explicit': (0, [
         '015df4e2a20b499e0df74e68545509fdc8725b8d66a78ce2c2fee94cbf35c68f',
     ]),
+    'oracle-csv-explicit-n60': (0, [
+        '87f74385f111efe491fbb5f78fe65bbe782b5ba322fbeeb9f409aefe2b57a254',
+    ]),
     'oracle-csv-hayes': (0, [
         'c19e3ed07ce727ecceefb51f09a3b63ba8f65fae60ce282054ac60649875bb50',
     ]),
@@ -266,8 +278,14 @@ GOLDEN = {
     'oracle-json-explicit': (0, [
         '795e1401af22617d4e1e575dc39a3763f652043e508959af97839bd5f4055348',
     ]),
+    'oracle-json-explicit-n60': (0, [
+        '257018376d0c1215b8534e24037e0db4691273dcc62f0373da6577ae2848640f',
+    ]),
     'oracle-json-hayes': (0, [
         '56a345d46ff5b5330677e0f6c8278863f06efd826b424e61bc6b6f4ed5a975f3',
+    ]),
+    'oracle-json-hayes-n60': (0, [
+        'e06f2b7ca0e53f1d2048b937f2b4a61e0e6703d30d519c2138fa85450e4b811c',
     ]),
     'oracle-json-kawachi': (0, [
         '2f86d1bcb2169eed27cea5295cb36058e0a1c8f12ece8672a6979f34ec9a98d7',
