@@ -6,7 +6,9 @@ computes its own x_inf through the Lambert-W route, so it shares nothing
 with the bracketed solver or the general constants.
 
 A Pearson chi-square test compares Monte Carlo final-state histograms
-with the exact small-N distribution of rumour.simulate.
+with the exact small-N distribution of rumour.simulate, and a
+slice-by-slice walk of the jump-chain DAG is the bit-level reference for
+that distribution.
 """
 
 import math
@@ -19,7 +21,7 @@ from scipy.stats import chi2 as _chi2_dist
 from rumour.clt import CovMatrix2
 from rumour.errors import NotApplicable
 from rumour.limits import lambert_w0, lambert_wm1
-from rumour.model import ModelParams
+from rumour.model import ModelParams, rate_weights
 from rumour.simulate import ExactDistribution, iter_final_states
 
 
@@ -124,6 +126,41 @@ def final_state_counts(
             xu = (k // stride, k % stride)
             counts[xu] = counts.get(xu, 0) + c
     return counts
+
+
+def exact_probs_by_slices(n: int, params: ModelParams) -> np.ndarray:
+    """probs[x, u] of the exact final-state law, pushed through the DAG one
+    X-slice at a time in decreasing (X, then Y) order: moves within slice
+    X run serially in Y, then the moves to X - 1 apply to the whole slice.
+    This walk fixes the order in which each cell's shares are added, so
+    rumour.simulate.exact_final_distribution must match it bit for bit.
+    No size cap; time O(n^3), memory O(n^2).
+    """
+    probs = np.zeros((n + 1, n + 2))
+    # cur[y, u] is the mass of slice x
+    cur = np.zeros((n + 2, n + 2))
+    cur[1, 0] = 1.0
+    for x in range(n, -1, -1):
+        top = n + 1 - x
+        w0, w1, w2, w3 = rate_weights(x, np.arange(1, top + 1), n, params)
+        w = w0 + w1 + w2 + w3
+        # w = 0 only where no move is possible: that mass stays put
+        p0, p1, p2, p3 = (np.divide(wk, w, out=np.zeros_like(w), where=w > 0)
+                          for wk in (w0, w1, w2, w3))
+        for y in range(top, 0, -1):
+            v = cur[y]
+            # at y = 1, p2 = 0: the zero share wraps to row n + 1, which is
+            # empty or already processed
+            cur[y - 2] += p2[y - 1] * v
+            cur[y - 1] += p3[y - 1] * v
+        probs[x] = cur[0]
+        if x:
+            # the w1 share lands in each cell before the w0 share
+            live = cur[1:top + 1]
+            cur = np.zeros_like(cur)
+            cur[1:top + 1, 1:] = p1[:, None] * live[:, :-1]
+            cur[2:top + 2] += p0[:, None] * live
+    return probs
 
 
 # goodness_of_fit pools cells whose expected count is below this.

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_params, rng_for
-from oracles import final_state_counts, goodness_of_fit
+from oracles import exact_probs_by_slices, final_state_counts, goodness_of_fit
 from rumour.clt import CovMatrix2, clt_constants, sigma_matrix
 from rumour.errors import TooLarge
 from rumour.limits import LimitResult, solve_x_infinity
@@ -177,7 +177,30 @@ class TestMcStats:
             s.cov_sqrt_n()
 
 
+def _reference_params() -> dict[str, ModelParams]:
+    """The presets without auxiliary parameters, random points over theta
+    and delta (None draws it), and a state no move leaves."""
+    rng = rng_for("oracle-reference")
+    cases = {name: preset_params(name) for name in ("dk", "mt", "hayes")}
+    for theta in (0.0, 0.5, 1.0, None):
+        for delta in (1.0, None):
+            cases[f"theta={theta}-delta={delta}"] = random_params(rng, theta=theta, delta=delta)
+    cases["zero-rate"] = ModelParams(lam=1.0, gamma=1e-13, theta1=0.0, theta2=0.0, delta=0.7)
+    return cases
+
+
+REFERENCE_PARAMS = _reference_params()
+
+
 class TestExactDistribution:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 17, 60, 240])
+    @pytest.mark.parametrize("name", sorted(REFERENCE_PARAMS))
+    def test_bitwise_equal_to_slice_reference(self, name, n, monkeypatch):
+        monkeypatch.setattr(simulate, "EXACT_N_MAX", 240)
+        p = REFERENCE_PARAMS[name]
+        assert np.array_equal(exact_final_distribution(n, p).probs,
+                              exact_probs_by_slices(n, p))
+
     def test_n1_dk_hand_enumeration(self):
         d = exact_final_distribution(1, preset_params("dk"))
         assert dict(d.support()) == {(0, 0): 1.0}
