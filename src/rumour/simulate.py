@@ -331,6 +331,7 @@ class ExactDistribution:
     probs: np.ndarray
 
     def support(self) -> Iterator[tuple[tuple[int, int], float]]:
+        """The nonzero cells ((x, u), p) in increasing (x, u) order."""
         xs, us = np.nonzero(self.probs)
         for x, u in zip(xs.tolist(), us.tolist()):
             yield (x, u), float(self.probs[x, u])
@@ -346,47 +347,56 @@ class ExactDistribution:
 
 
 def exact_final_distribution(n: int, params: ModelParams) -> ExactDistribution:
-    """Propagate probability mass through the jump-chain DAG.
+    """Pull probability mass through the jump-chain DAG, one level at a time.
 
-    States (X, U, Y) are processed in decreasing (X, then Y) order, which
-    is topological: every transition lowers X or keeps X and lowers Y.
-    Mass reaching Y = 0 stays there.  Only two X-slices are live: moves
-    within slice X run serially in Y, then the moves to X - 1 are applied
-    to the whole slice at once.  The computation never touches lambda, so
-    the result is bitwise lambda-invariant.  Time is O(n^3) and memory
-    O(n^2); EXACT_N_MAX guards against accidental huge inputs.
+    Every move lowers the level L = 2X + Y: by 1 when a spreader informs
+    an ignorant (w0) or one spreader stops (w3), by 2 when an ignorant
+    turns uninterested (w1) or two spreaders stop (w2).  So all states of
+    level L are filled in one vectorised step from levels L + 1 and L + 2,
+    from the initial state (n, 1) at L = 2n + 1 down to L = 0.  Each state
+    sums its incoming shares as ((w1 + w0) + w2) + w3, the order in which
+    a serial walk in decreasing (X, then Y) adds them, so the result is
+    bitwise that walk's.  Mass reaching Y = 0 stays there, and so does
+    mass on a state with no possible move.  The computation never touches
+    lambda, so the result is bitwise lambda-invariant.  There are 2n + 1
+    steps of O(n^2) work, so time is O(n^3); memory is O(n^2), with three
+    levels live.  EXACT_N_MAX guards against accidental huge inputs.
     """
     if n < 1:
         raise ValueError(f"population parameter must be >= 1, got {n}")
     if n > EXACT_N_MAX:
         raise TooLarge(f"exact distribution wants n <= {EXACT_N_MAX}, got {n}")
+    # q[k][L, x] is the probability of move k from state (x, L - 2x), zero
+    # off the state space; level 2n + 2 and x = n + 1 are spare zeros that
+    # the pulls below read.
+    x = np.arange(n + 2)
+    y = np.arange(2 * n + 3)[:, None] - 2 * x
+    w0, w1, w2, w3 = rate_weights(x, y, n, params)
+    w = w0 + w1 + w2 + w3
+    # w = 0 on a live state only where no move is possible (X = 0,
+    # Y = N + 1 with theta1 = theta2 = 0): that mass stays put, as in the
+    # chain.
+    live = (w > 0) & (y > 0) & (x + y <= n + 1)
+    q0, q1, q2, q3 = (np.divide(wk, w, out=np.zeros_like(w), where=live)
+                      for wk in (w0, w1, w2, w3))
     probs = np.zeros((n + 1, n + 2))
-    # cur[y, u] is the mass of slice x; u ranges over 0..n+1 (u <= n in
-    # fact, slack is cheap)
-    cur = np.zeros((n + 2, n + 2))
-    cur[1, 0] = 1.0
-    for x in range(n, -1, -1):
-        top = n + 1 - x
-        w0, w1, w2, w3 = rate_weights(x, np.arange(1, top + 1), n, params)
-        w = w0 + w1 + w2 + w3
-        # w = 0 only where no move is possible (X = 0, Y = N + 1 with
-        # theta1 = theta2 = 0): that mass stays put, as in the chain.
-        p0, p1, p2, p3 = (np.divide(wk, w, out=np.zeros_like(w), where=w > 0)
-                          for wk in (w0, w1, w2, w3))
-        for y in range(top, 0, -1):
-            v = cur[y]
-            # at y = 1, p2 = 0: the zero share wraps to row n + 1, which is
-            # empty or already processed
-            cur[y - 2] += p2[y - 1] * v
-            cur[y - 1] += p3[y - 1] * v
-        probs[x] = cur[0]
-        if x:
-            # the w1 share lands in each cell before the w0 share, as in a
-            # serial walk over y
-            live = cur[1:top + 1]
-            cur = np.zeros_like(cur)
-            cur[1:top + 1, 1:] = p1[:, None] * live[:, :-1]
-            cur[2:top + 2] += p0[:, None] * live
+    # levels[L % 3][x, u] is the mass of state (x, L - 2x, u); rows off
+    # the level stay zero
+    levels = np.zeros((3, n + 2, n + 2))
+    levels[(2 * n + 1) % 3, n, 0] = 1.0
+    for lev in range(2 * n, -1, -1):
+        one, two, cur = levels[(lev + 1) % 3], levels[(lev + 2) % 3], levels[lev % 3]
+        lo, hi = max(0, lev - n - 1), min(n, lev // 2)
+        # cur last held level lev + 3, whose rows reach at most hi + 2
+        cur[hi + 1:hi + 3] = 0.0
+        s, t = slice(lo, hi + 1), slice(lo + 1, hi + 2)
+        c = cur[s]
+        np.multiply(q0[lev + 1, t, None], one[t], out=c)
+        c[:, 1:] += q1[lev + 2, t, None] * two[t, :-1]
+        c += q2[lev + 2, s, None] * two[s]
+        c += q3[lev + 1, s, None] * one[s]
+        if lev % 2 == 0:
+            probs[lev // 2] = cur[lev // 2]
     return ExactDistribution(n=n, probs=probs)
 
 
