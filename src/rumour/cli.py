@@ -263,7 +263,8 @@ def cmd_verify(ns, settings, params, header) -> tuple[int, str]:
 
 def cmd_oracle(ns, n, params, header) -> tuple[int, str]:
     dist = sim_mod.exact_final_distribution(n, params)
-    entries = sorted(dist.support())
+    # (x, u) in row-major order, as np.nonzero yields them
+    entries = dist.support()
     if ns.format == "csv":
         lines = ["x,u,p"]
         lines += [f"{x},{u},{p:.17g}" for (x, u), p in entries]
