@@ -366,19 +366,19 @@ def exact_final_distribution(n: int, params: ModelParams) -> ExactDistribution:
         raise ValueError(f"population parameter must be >= 1, got {n}")
     if n > EXACT_N_MAX:
         raise TooLarge(f"exact distribution wants n <= {EXACT_N_MAX}, got {n}")
-    # q[k][L, x] is the probability of move k from state (x, L - 2x), zero
-    # off the state space; level 2n + 2 and x = n + 1 are spare zeros that
-    # the pulls below read.
-    x = np.arange(n + 2)
-    y = np.arange(2 * n + 3)[:, None] - 2 * x
-    w0, w1, w2, w3 = rate_weights(x, y, n, params)
-    w = w0 + w1 + w2 + w3
-    # w = 0 on a live state only where no move is possible (X = 0,
-    # Y = N + 1 with theta1 = theta2 = 0): that mass stays put, as in the
-    # chain.
-    live = (w > 0) & (y > 0) & (x + y <= n + 1)
-    q0, q1, q2, q3 = (np.divide(wk, w, out=np.zeros_like(w), where=live)
-                      for wk in (w0, w1, w2, w3))
+    # q[k][L, x] is the probability of move k from state (x, L - 2x): set
+    # on the states with Y >= 1 (2x < L <= n + 1 + x), zero elsewhere,
+    # including the spare level 2n + 2 and x = n + 1 that the pulls read.
+    lv, xv = np.arange(2 * n + 2)[:, None], np.arange(n + 1)
+    lv, xv = np.nonzero((lv > 2 * xv) & (lv <= n + 1 + xv))
+    ws = rate_weights(xv, lv - 2 * xv, n, params)
+    w = ws[0] + ws[1] + ws[2] + ws[3]
+    # w = 0 only where no move is possible (X = 0, Y = N + 1 with
+    # theta1 = theta2 = 0): that mass stays put, as in the chain.
+    q = np.zeros((4, 2 * n + 3, n + 2))
+    for qk, wk in zip(q, ws):
+        qk[lv, xv] = np.divide(wk, w, out=np.zeros_like(w), where=w > 0)
+    q0, q1, q2, q3 = q
     probs = np.zeros((n + 1, n + 2))
     # levels[L % 3][x, u] is the mass of state (x, L - 2x, u); rows off
     # the level stay zero
