@@ -391,6 +391,8 @@ def exact_final_distribution(n: int, params: ModelParams) -> ExactDistribution:
         cur[hi + 1:hi + 3] = 0.0
         s, t = slice(lo, hi + 1), slice(lo + 1, hi + 2)
         c = cur[s]
+        # ((w1 + w0) + w2) + w3 share by share; one addition commutes, so
+        # the w0 share may come first
         np.multiply(q0[lev + 1, t, None], one[t], out=c)
         c[:, 1:] += q1[lev + 2, t, None] * two[t, :-1]
         c += q2[lev + 2, s, None] * two[s]
