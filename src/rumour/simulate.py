@@ -16,9 +16,10 @@ for transition selection and (master_seed, c, 1) for holding times.
 Replication r owns m = 2N + 1 consecutive uniforms of each stream, row
 r - chunk_start of the chunk's rows x m matrix in row-major order; each
 jump decrements X or Y, so no replication needs more.  The matrix is
-never drawn whole: Philox is counter-based, so the kernel is handed
-column blocks of at most _BLOCK uniforms for its live rows, each read
-from its offset in the stream, and memory per stream stays at
+never drawn whole: Philox is counter-based, so the kernel reads column
+blocks of at most _BLOCK uniforms for its live rows, each from its offset
+in the stream, into one buffer per stream that is allocated once per run
+and reused by every block of every chunk.  Memory per stream stays at
 rows x min(m, _BLOCK) doubles whatever N is.  Chunks run in order on the
 calling thread, one at a time, and accumulated statistics are exact
 integers, so no floating-point reduction order can leak in.
@@ -38,6 +39,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -58,42 +60,39 @@ MODES = ("jump-chain", "exact-time")
 _CHUNK_DOUBLES = 1 << 22
 _MAX_CHUNK = 1024
 
-# Uniforms per row handed to the kernel at a time.
+# Uniforms per row the kernel reads at a time.
 _BLOCK = 1024
 
 # Largest population the exact oracle accepts; its time is O(n^3).
 EXACT_N_MAX = 60
 
 
-def _chunk_kernel(n: int, params: ModelParams, blocks, refill):
-    """Walk all rows of a chunk to absorption in lockstep.  blocks is a
-    (selection, holding) pair of uniform arrays, holding None in jump-chain
-    mode, with one row per replication: row r's j-th jump reads column j.
-    When the columns run out at step s, refill(live, s) returns the next
-    pair for the rows live (increasing) from column s on.  Returns per-row
-    final x, final u, jumps and absorption times (None in jump-chain
-    mode)."""
-    sel, hold = blocks
-    rows = sel.shape[0]
+def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
+    """Walk rows replications to absorption in lockstep; row r's j-th jump
+    reads column j of its uniforms.  At step 0 and every _BLOCK steps
+    after, read(live, step) returns the (selection, holding) pair of
+    blocks for the rows live (increasing), one block row per live row,
+    from column step on; holding is None in jump-chain mode.  Returns
+    per-row final x, final u, jumps and absorption times (None in
+    jump-chain mode)."""
     out_x = np.empty(rows, np.int64)
     out_u = np.empty(rows, np.int64)
     out_j = np.empty(rows, np.int64)
     out_t = np.zeros(rows)
     live = np.arange(rows)
-    pos = live  # each live row's row in the current blocks
     # float64 counts: rate_weights gives the same bits as on int64 and
     # runs faster
     x = np.full(rows, float(n))
     u = np.zeros(rows)
     y = np.ones(rows)
     t = np.zeros(rows)
-    step = col = 0
+    step = 0
+    hold = None
     while live.size:
-        if col == sel.shape[1]:
-            # drop the spent blocks before the next ones are drawn
-            sel = hold = None
-            sel, hold = refill(live, step)
-            pos, col = np.arange(live.size), 0
+        col = step % _BLOCK
+        if not col:
+            sel, hold = read(live, step)
+            pos = np.arange(live.size)  # each live row's row in the blocks
         w0, w1, w2, w3 = rate_weights(x, y, n, params)
         # Running sums, added in the order w0 + w1 + w2 + w3 evaluates.
         c1 = w0 + w1
@@ -106,7 +105,6 @@ def _chunk_kernel(n: int, params: ModelParams, blocks, refill):
             t -= np.array(logs) / (params.lam * wsum)
         v = sel[pos, col] * wsum
         step += 1
-        col += 1
         # Nondecreasing thresholds: a implies b implies c.  The move is
         # (x-1, y+1) on a, (x-1, u+1) on b ^ a, y-2 on c ^ b, y-1 on ~c.
         a, b, c = v < w0, v < c1, v < c2
@@ -142,12 +140,14 @@ def _chunk_size(n: int) -> int:
     return max(1, min(_MAX_CHUNK, _CHUNK_DOUBLES // (2 * n + 2)))
 
 
-def _philox_rows(master_seed, chunk_index, stream, rows, m):
+def _philox_rows(master_seed, chunk_index, stream, rows, m, buf):
     """read(live, step) returns columns step ... step + k - 1, where
     k = min(_BLOCK, m - step), of the rows live (increasing) of the
     chunk's rows x m matrix of uniforms
     Generator(Philox(SeedSequence((master_seed, chunk_index, stream))))
-    .random((rows, m)), without drawing the rest of the matrix."""
+    .random((rows, m)), without drawing the rest of the matrix.  Each
+    block is written into the top left of buf, at least rows x
+    min(_BLOCK, m), and is a view of it valid until the next read."""
     seq = np.random.SeedSequence(entropy=(master_seed, chunk_index, stream))
     bitgen = np.random.Philox(seq)
     gen = np.random.Generator(bitgen)
@@ -165,31 +165,14 @@ def _philox_rows(master_seed, chunk_index, stream, rows, m):
     def read(live, step):
         if m <= _BLOCK and step == 0 and live.size == rows:
             seek(0)
-            return gen.random((rows, m))  # whole rows in one call
-        out = np.empty((live.size, min(_BLOCK, m - step)))
+            return gen.random(out=buf[:rows])  # whole rows in one call
+        out = buf[:live.size, :min(_BLOCK, m - step)]
         for i, r in enumerate(live.tolist()):
             seek(r * m + step)
             gen.random(out=out[i])
         return out
 
     return read
-
-
-def _run_chunk(n, params, master_seed, mode, chunk_index, start, stop) -> ReplicationBlock:
-    rows, m = stop - start, 2 * n + 1
-    sel = _philox_rows(master_seed, chunk_index, 0, rows, m)
-    hold = _philox_rows(master_seed, chunk_index, 1, rows, m) if mode == "exact-time" else None
-
-    def refill(live, step):
-        return sel(live, step), hold(live, step) if hold else None
-
-    # The first blocks are drawn before the kernel allocates its state and
-    # held until the result is built, as the whole-matrix draw was; moving
-    # either step raised peak RSS at N = 200 by about 2.5 MiB.
-    first = refill(np.arange(rows), 0)
-    x, u, jumps, times = _chunk_kernel(n, params, first, refill)
-    return ReplicationBlock(start=start, x=x, u=u, z=n + 1 - x - u, jumps=jumps,
-                            absorption_time=times)
 
 
 def iter_final_states(
@@ -210,9 +193,18 @@ def iter_final_states(
         raise ValueError(f"reps must be >= 0, got {reps}")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    size = _chunk_size(n)
+    size, m = _chunk_size(n), 2 * n + 1
+    shape = (min(reps, size), min(m, _BLOCK))
+    sel_buf = np.empty(shape)
+    hold_buf = np.empty(shape) if mode == "exact-time" else None
     for c, start in enumerate(range(0, reps, size)):
-        yield _run_chunk(n, params, master_seed, mode, c, start, min(reps, start + size))
+        rows = min(size, reps - start)
+        sel = _philox_rows(master_seed, c, 0, rows, m, sel_buf)
+        hold = _philox_rows(master_seed, c, 1, rows, m, hold_buf) if hold_buf is not None else None
+        x, u, jumps, times = _chunk_kernel(
+            n, params, rows, lambda live, step: (sel(live, step), hold(live, step) if hold else None))
+        yield ReplicationBlock(start=start, x=x, u=u, z=n + 1 - x - u, jumps=jumps,
+                               absorption_time=times)
 
 
 @dataclass
@@ -304,17 +296,10 @@ def write_replications_csv(fh, blocks: Iterable[ReplicationBlock]) -> None:
     w = csv.writer(fh)
     w.writerow(["rep", "x_final", "u_final", "z_final", "absorption_time"])
     for b in blocks:
-        times = b.absorption_time
-        for i in range(len(b.x)):
-            w.writerow(
-                [
-                    b.start + i,
-                    int(b.x[i]),
-                    int(b.u[i]),
-                    int(b.z[i]),
-                    repr(float(times[i])) if times is not None else "",
-                ]
-            )
+        t = b.absorption_time
+        times = repeat("") if t is None else map(repr, t.tolist())
+        w.writerows(zip(range(b.start, b.start + len(b.x)), b.x.tolist(), b.u.tolist(),
+                        b.z.tolist(), times))
 
 
 # --------------------------------------------------------------------------

@@ -15,10 +15,12 @@ weight, so a second check sees every step's total on its own: along paths
 drawn from the chain's own law, one kernel row per step whose holding
 uniforms are zero except at that step.
 
-The kernel reads its uniforms in column blocks.  Every case runs at the
-default block width and again at widths 3 and 7, so refills fall in the
-middle of paths, and must give the same results at each.  The Philox
-block reader is checked against the whole-matrix draw it replaces.
+The kernel reads its uniforms in column blocks, every one through the
+same reader.  Every case runs at the default block width and again at
+widths 3 and 7, so later reads fall in the middle of paths, and must give
+the same results at each.  The Philox block reader is checked against the
+whole-matrix draw it replaces, writing every block into one reused
+buffer.
 """
 
 import math
@@ -71,7 +73,7 @@ def path_time(p, u_hold, wsums):
 
 
 def reader(sel, hold):
-    """The kernel's refill over explicit uniform arrays, simulate._BLOCK
+    """The kernel's read over explicit uniform arrays, simulate._BLOCK
     columns at a time."""
     def read(live, step):
         cols = slice(step, step + simulate._BLOCK)
@@ -96,7 +98,7 @@ def run_kernel(n, p, sel_rows, hold_rows, want_time):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulate, "_BLOCK", block)
             read = reader(sel, hold if want_time else None)
-            xs, us, js, ts = _chunk_kernel(n, p, read(np.arange(rows), 0), read)
+            xs, us, js, ts = _chunk_kernel(n, p, rows, read)
         results.append((xs.tolist(), us.tolist(), js.tolist(),
                         ts.tolist() if want_time else None))
     assert all(r == results[0] for r in results), "block widths disagree"
@@ -161,7 +163,8 @@ def test_kernel_total_weight_per_step():
 @pytest.mark.parametrize("block", BLOCKS)
 def test_philox_reader_matches_whole_matrix(block, monkeypatch):
     # Row r of chunk c reads uniforms r*m ... r*m + m - 1 of the chunk's
-    # stream, in blocks from any column, for any subset of rows.
+    # stream, in blocks from any column, for any subset of rows, each
+    # written into the same buffer.
     monkeypatch.setattr(simulate, "_BLOCK", block)
     rng = rng_for("kernel-contract-philox")
     rows = 9
@@ -172,13 +175,17 @@ def test_philox_reader_matches_whole_matrix(block, monkeypatch):
                 continue
             seq = np.random.SeedSequence(entropy=(seed, c, stream))
             whole = np.random.Generator(np.random.Philox(seq)).random((rows, m))
-            read = _philox_rows(seed, c, stream, rows, m)
+            buf = np.empty((rows, min(m, block)))
+            read = _philox_rows(seed, c, stream, rows, m, buf)
             everyone = np.arange(rows)
-            assert np.array_equal(read(everyone, 0), whole[:, :block]), (m, block)
+            got = read(everyone, 0)
+            assert np.shares_memory(got, buf)
+            assert np.array_equal(got, whole[:, :block]), (m, block)
             for step in range(0, m, block):
                 live = np.sort(rng.choice(rows, size=int(rng.integers(1, rows + 1)),
                                           replace=False))
                 got = read(live, step)
+                assert np.shares_memory(got, buf)
                 assert got.shape == (live.size, min(block, m - step))
                 assert np.array_equal(got, whole[live, step:step + block]), (m, block, step)
 
@@ -187,7 +194,7 @@ def test_philox_reader_matches_whole_matrix(block, monkeypatch):
 def test_chunks_same_at_every_block_width(mode, monkeypatch):
     # The whole pipeline, Philox reader and kernel, gives the same results
     # whatever the block width, including rows read in one call (width
-    # >= 2n + 1) against rows refilled many times.
+    # >= 2n + 1) against rows read many times.
     p = preset_params("apq_dk", alpha=0.8, p=0.7, q=0.6)
     results = []
     for block in (simulate._BLOCK, 3, 7, 64):
@@ -197,3 +204,22 @@ def test_chunks_same_at_every_block_width(mode, monkeypatch):
                          None if b.absorption_time is None else b.absorption_time.tolist())
                         for b in blocks])
     assert all(r == results[0] for r in results)
+
+
+@pytest.mark.parametrize("mode", ["jump-chain", "exact-time"])
+def test_reused_buffers_leak_into_no_block(mode, monkeypatch):
+    # Every chunk reads into the same buffers, so a block that kept a view
+    # of them would change when the next chunk runs: the blocks collected
+    # at the end must equal copies taken as each was yielded.  Width 7 at
+    # N = 40 reads each row many times; N = 40 makes chunks of 1024 rows.
+    monkeypatch.setattr(simulate, "_BLOCK", 7)
+    p = preset_params("apq_dk", alpha=0.8, p=0.7, q=0.6)
+
+    def fields(b):
+        return (b.start, b.x.tolist(), b.u.tolist(), b.z.tolist(), b.jumps.tolist(),
+                None if b.absorption_time is None else b.absorption_time.tolist())
+
+    copies = [fields(b) for b in simulate.iter_final_states(40, 2100, p, 17, mode=mode)]
+    blocks = list(simulate.iter_final_states(40, 2100, p, 17, mode=mode))
+    assert len(blocks) == 3
+    assert [fields(b) for b in blocks] == copies

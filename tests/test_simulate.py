@@ -114,14 +114,14 @@ class TestMcStats:
         # workers argument changes no block
         p = preset_params("dk")
         ref = list(iter_final_states(200, 4096, p, 7, 1, "jump-chain"))
-        run_chunk = simulate._run_chunk
+        kernel = simulate._chunk_kernel
         calls = []
 
         def counted(*args):
             calls.append(args)
-            return run_chunk(*args)
+            return kernel(*args)
 
-        monkeypatch.setattr(simulate, "_run_chunk", counted)
+        monkeypatch.setattr(simulate, "_chunk_kernel", counted)
         blocks = iter_final_states(200, 4096, p, 7, 4, "jump-chain")
         got = [next(blocks)]
         assert len(calls) == 1
@@ -328,6 +328,7 @@ class TestVerify:
         wrong = CovMatrix2(2.0 * sigma.s11, sigma.s12, sigma.s22)
         assert not verify(stats, lim, wrong).passed
 
+    @pytest.mark.slow
     def test_hayes_desk_scale_variance(self):
         # N = reps = 1e4; seed 200 documented (free of the early-extinction
         # atom that inflates the sample variance by ~N(1-x)^2/reps per hit)
