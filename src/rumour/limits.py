@@ -35,12 +35,18 @@ THETA_EPS = 1e-9
 
 # Newton stops at |f(x)| <= RESIDUAL_TOL * max(1, |f'(x)|) * min(1, 100 x).
 # Where |f'| >= 1 its next step, about the error left in x, is then below
-# 1e-12 absolute and, for roots below 0.01, below 1e-10 relative.
+# 1e-12 absolute and, for roots below 0.01, below 1e-10 relative.  Where
+# 1 - x < 0.01 the rule is |f(x)| <= RESIDUAL_TOL * |f'(x)| * 100 (1 - x),
+# so that step is below 1e-10 relative to 1 - x: f' vanishes there as
+# delta does.  Float noise in f can exceed that bound once 1 - x is about
+# 1e-8 or less; Newton then spends its 40 steps within the noise.
 RESIDUAL_TOL = 1e-12
 
 # Bisection stops at a bracket (a, b) narrower than
-# _BISECT_WIDTH * min(1, 100 b): absolute width above 0.01, relative width
-# 1e-6 below it, where an absolute width would swamp the root.
+# _BISECT_WIDTH * min(1, 100 b, 100 (1 - b)), or than the float spacing
+# at b: absolute width between 0.01 and 0.99, relative width 1e-6 (to b,
+# or to 1 - b) outside, where an absolute width would swamp the root or
+# its distance from 1.
 _BISECT_WIDTH = 1e-8
 _BRANCH_POINT = -math.exp(-1.0)  # -1/e
 
@@ -146,7 +152,9 @@ def solve_x_infinity(p: ModelParams) -> LimitResult:
     the function is negative there; unimodality makes the left root the
     only zero inside.  Newton steps that would leave the bracket fall back
     to bisection.  The root comes out to relative accuracy however small
-    it is; one below the normal float range raises NoBracket.
+    it is, and so does 1 - x_inf down to where the float spacing of x
+    near 1 limits it; a root below the normal float range raises
+    NoBracket.
     """
     f, df, top = _target(p)
     iters = 0
@@ -161,7 +169,7 @@ def solve_x_infinity(p: ModelParams) -> LimitResult:
         raise NoBracket(f"function not positive at its maximiser for {p}")
 
     a, b = lo, top
-    while b - a > _BISECT_WIDTH * min(1.0, 100.0 * b):
+    while b - a > max(_BISECT_WIDTH * min(1.0, 100.0 * b, 100.0 * (1.0 - b)), math.ulp(b)):
         m = 0.5 * (a + b)
         if f(m) < 0.0:
             a = m
@@ -173,7 +181,11 @@ def solve_x_infinity(p: ModelParams) -> LimitResult:
     for _ in range(40):
         fx = f(x)
         dfx = df(x)
-        if abs(fx) <= RESIDUAL_TOL * max(1.0, abs(dfx)) * min(1.0, 100.0 * x):
+        if 1.0 - x < 0.01:
+            tol = RESIDUAL_TOL * abs(dfx) * 100.0 * (1.0 - x)
+        else:
+            tol = RESIDUAL_TOL * max(1.0, abs(dfx)) * min(1.0, 100.0 * x)
+        if abs(fx) <= tol:
             break
         step_to = x - fx / dfx if dfx != 0.0 else a
         if not a < step_to < b:

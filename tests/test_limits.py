@@ -134,6 +134,30 @@ class TestSolver:
             x = solve_x_infinity(p).x_inf
             assert f_theta_eval(x * (1 - 1e-9), p) < 0.0 < f_theta_eval(x * (1 + 1e-9), p)
 
+    @pytest.mark.parametrize("theta", [0.0, 1.0])
+    @pytest.mark.parametrize("delta", [1e-4, 1e-6, 1e-8])
+    def test_roots_near_one_relative_to_distance(self, theta, delta):
+        # 1 - x_inf is about 2 delta.  The reference bisects, to adjacent
+        # floats, f0 or f1 written in s = 1 - x with log1p, which keeps the
+        # cancellation near x = 1 out; f > 0 at s = delta, f < 0 at 1/2.
+        g = 1.0
+        if theta == 0.0:
+            def f(s):
+                return (g + delta) * s + g * math.log1p(-s)
+        else:
+            def f(s):
+                return -g * s - (g + delta) * (1.0 - s) * math.log1p(-s)
+        a, b = delta, 0.5
+        assert f(a) > 0.0 > f(b)
+        while a < 0.5 * (a + b) < b:
+            m = 0.5 * (a + b)
+            if f(m) > 0.0:
+                a = m
+            else:
+                b = m
+        x = solve_x_infinity(params_theta(gamma=g, delta=delta, theta=theta)).x_inf
+        assert abs((1.0 - x) - a) <= 1e-7 * a
+
     def test_underflowing_root_raises(self):
         # x_inf = exp(-10001) at theta = 0, far below the float range
         p = params_theta(gamma=1e-4, delta=1.0, theta=0.0)
