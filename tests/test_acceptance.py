@@ -209,6 +209,7 @@ def test_c07_exact_oracle_equivalence():
            ok and dt < 30.0, f" (min p-value {worst:.3f}, {dt:.1f}s)")
 
 
+@pytest.mark.slow
 def test_c08_lln_desk_scale(big_runs):
     ok = True
     details = []
@@ -223,6 +224,7 @@ def test_c08_lln_desk_scale(big_runs):
     report(8, "law of large numbers at N=1e4, reps=1e4", ok, " (" + "; ".join(details) + ")")
 
 
+@pytest.mark.slow
 def test_c09_clt_desk_scale(big_runs):
     ok = True
     details = []
