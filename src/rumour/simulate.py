@@ -201,8 +201,8 @@ def iter_final_states(
         rows = min(size, reps - start)
         sel = _philox_rows(master_seed, c, 0, rows, m, sel_buf)
         hold = _philox_rows(master_seed, c, 1, rows, m, hold_buf) if hold_buf is not None else None
-        x, u, jumps, times = _chunk_kernel(
-            n, params, rows, lambda live, step: (sel(live, step), hold(live, step) if hold else None))
+        x, u, jumps, times = _chunk_kernel(n, params, rows, lambda live, step: (
+            sel(live, step), hold(live, step) if hold else None))
         yield ReplicationBlock(start=start, x=x, u=u, z=n + 1 - x - u, jumps=jumps,
                                absorption_time=times)
 
@@ -297,7 +297,9 @@ def write_replications_csv(fh, blocks: Iterable[ReplicationBlock]) -> None:
     w.writerow(["rep", "x_final", "u_final", "z_final", "absorption_time"])
     for b in blocks:
         t = b.absorption_time
-        times = repeat("") if t is None else map(repr, t.tolist())
+        # times one by one: a list of the column's floats would sit beside
+        # the reused block buffers, at the run's memory peak
+        times = repeat("") if t is None else map(repr, map(float, t))
         w.writerows(zip(range(b.start, b.start + len(b.x)), b.x.tolist(), b.u.tolist(),
                         b.z.tolist(), times))
 
