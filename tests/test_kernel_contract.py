@@ -210,8 +210,9 @@ def test_chunks_same_at_every_block_width(mode, monkeypatch):
 def test_reused_buffers_leak_into_no_block(mode, monkeypatch):
     # Every chunk reads into the same buffers, so a block that kept a view
     # of them would change when the next chunk runs: the blocks collected
-    # at the end must equal copies taken as each was yielded.  Width 7 at
-    # N = 40 reads each row many times; N = 40 makes chunks of 1024 rows.
+    # at the end must equal copies taken, in a first run, as each was
+    # yielded.  Width 7 at N = 40 reads each row many times, and N = 40
+    # makes chunks of 1024 rows.
     monkeypatch.setattr(simulate, "_BLOCK", 7)
     p = preset_params("apq_dk", alpha=0.8, p=0.7, q=0.6)
 
