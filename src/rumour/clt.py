@@ -156,7 +156,9 @@ def sigma_from_lambda(lam: np.ndarray, a: float, delta: float) -> CovMatrix2:
 
 
 def fluid_trajectory(t_grid, p: ModelParams) -> list[FluidPoint]:
-    """Evaluate the closed-form fluid trajectory on a grid of times."""
+    """Evaluate the closed-form fluid trajectory on a grid of times on the
+    clock tau, d tau = Y dt, where x = exp(-lambda tau); this is not the
+    chain's clock t, which `simulate --mode exact-time` reports."""
     f = _target(p)[0]
     out = []
     for t in t_grid:
@@ -173,7 +175,8 @@ def fluid_trajectory(t_grid, p: ModelParams) -> list[FluidPoint]:
 
 
 def t_infinity(p: ModelParams, lim: LimitResult) -> float:
-    """Fluid absorption time -log(x_inf)/lambda (where y(t) first hits 0)."""
+    """Fluid absorption time -log(x_inf)/lambda, where y first hits 0, on
+    the clock tau of fluid_trajectory (d tau = Y dt), not the chain's."""
     return -math.log(lim.x_inf) / p.lam
 
 

@@ -14,9 +14,9 @@ class DomainError(RumourError, ValueError):
 
 
 class NoBracket(RumourError):
-    """Root bracketing failed: the limiting fraction x_inf underflows the
-    normal float range (gamma small against delta), or delta is so small
-    that f rounds to zero at its maximiser next to x = 1."""
+    """The float-grid bisection for x_inf has no bracket: f is not negative
+    at the smallest normal float (x_inf underflows; gamma small against
+    delta) or not positive at its maximiser (delta tiny; f cancels near 1)."""
 
 
 class NotApplicable(RumourError):

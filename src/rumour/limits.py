@@ -13,8 +13,9 @@ with the boundary limits
     f1(x) = -gamma*(1 - x) - (gamma + delta)*x*log(x)           (theta = 1)
 
 Each is unimodal on (0, 1] with a negative left tail and a zero at x = 1,
-so the root is safely bracketed between a small positive abscissa and the
-interior maximiser.  At theta in {0, 1} the root also has a Lambert-W
+so the root is the only sign change between the smallest normal float and
+the interior maximiser, and bisection over the float grid finds it with no
+tolerance to tune.  At theta in {0, 1} the root also has a Lambert-W
 closed form, and at theta = 1/2 it is (gamma / (gamma + delta))**2; those
 routes are kept independent of the bracketed solver so each can check the
 other.  The root never depends on lambda.
@@ -23,6 +24,7 @@ other.  The root never depends on lambda.
 from __future__ import annotations
 
 import math
+import struct
 import sys
 from dataclasses import dataclass
 
@@ -33,21 +35,6 @@ from rumour.model import ModelParams
 # float noise of computing theta1 + theta2 - gamma.
 THETA_EPS = 1e-9
 
-# Newton stops at |f(x)| <= RESIDUAL_TOL * max(1, |f'(x)|) * min(1, 100 x).
-# Where |f'| >= 1 its next step, about the error left in x, is then below
-# 1e-12 absolute and, for roots below 0.01, below 1e-10 relative.  Where
-# 1 - x < 0.01 the rule is |f(x)| <= RESIDUAL_TOL * |f'(x)| * 100 (1 - x),
-# so that step is below 1e-10 relative to 1 - x: f' vanishes there as
-# delta does.  Float noise in f can exceed that bound once 1 - x is about
-# 1e-8 or less; Newton then spends its 40 steps within the noise.
-RESIDUAL_TOL = 1e-12
-
-# Bisection stops at a bracket (a, b) narrower than
-# _BISECT_WIDTH * min(1, 100 b, 100 (1 - b)), or than the float spacing
-# at b: absolute width between 0.01 and 0.99, relative width 1e-6 (to b,
-# or to 1 - b) outside, where an absolute width would swamp the root or
-# its distance from 1.
-_BISECT_WIDTH = 1e-8
 _BRANCH_POINT = -math.exp(-1.0)  # -1/e
 
 
@@ -60,7 +47,7 @@ class LimitResult:
 
     x_inf: float
     u_inf: float
-    method: str  # bisection-newton | lambert-w | closed-half
+    method: str  # bisection | lambert-w | closed-half
     residual: float
     iterations: int
 
@@ -84,7 +71,7 @@ def theta_branch(theta: float) -> int | None:
 
 
 def _target(p: ModelParams):
-    """(f, f', bracket top) for the branch that theta selects.
+    """(f, bracket top) for the branch that theta selects.
 
     The bracket top is the interior maximiser: for f0 it is
     gamma/(gamma+delta) (root of f0'), for f1 it is exp(-delta/(gamma+delta))
@@ -101,9 +88,6 @@ def _target(p: ModelParams):
                 raise DomainError(f"f0 needs x > 0, got {x!r}")
             return (g + d) * (1.0 - x) + g * math.log(x)
 
-        def df(x):
-            return -(g + d) + g / x
-
         top = g / (g + d)
     elif b == 1:
 
@@ -111,9 +95,6 @@ def _target(p: ModelParams):
             if x <= 0:
                 raise DomainError(f"f1 needs x > 0, got {x!r}")
             return -g * (1.0 - x) - (g + d) * x * math.log(x)
-
-        def df(x):
-            return g - (g + d) * (math.log(x) + 1.0)
 
         top = math.exp(-d / (g + d))
     else:
@@ -125,11 +106,8 @@ def _target(p: ModelParams):
         def f(x):
             return (c1 * x**th - c2 * x - c3) / den
 
-        def df(x):
-            return (c1 * th * x ** (th - 1.0) - c2) / den
-
         top = (c1 / (g + d)) ** (1.0 / (1.0 - th))
-    return f, df, top
+    return f, top
 
 
 def f_theta_eval(x: float, p: ModelParams) -> float:
@@ -145,63 +123,46 @@ def _underflow(p: ModelParams) -> NoBracket:
 
 
 def solve_x_infinity(p: ModelParams) -> LimitResult:
-    """Solve for the limiting ignorant fraction by bracketed bisection plus
-    a Newton polish.
+    """Solve for the limiting ignorant fraction by bisection over the float
+    grid.
 
-    The bracket is (lo, interior maximiser) with lo halved from 1e-6 until
-    the function is negative there; unimodality makes the left root the
-    only zero inside.  Newton steps that would leave the bracket fall back
-    to bisection.  The root comes out to relative accuracy however small
-    it is, and so does 1 - x_inf down to where the float spacing of x
-    near 1 limits it; a root below the normal float range raises
-    NoBracket.
+    The bracket is [smallest normal float, interior maximiser]; f rises
+    left of the maximiser, so it must be negative at the left end, or the
+    root underflows and NoBracket is raised.  Each step halves the bracket
+    in bit patterns, which for positive doubles sort as the values do, so
+    at most 63 steps leave adjacent floats a < b with f(a) < 0 <= f(b).
+    Of the two, the one with the smaller |f| is returned (b on a tie).
+
+    f cancels near x = 1.  At theta in {0, 1}, 1 - x_inf is within 2e-9
+    relative down to delta = 1e-8; at interior theta it loses digits from
+    delta of about 1e-6, and the bracket fails from about 3e-8.
     """
-    f, df, top = _target(p)
-    iters = 0
-
-    lo = min(1e-6, 0.5 * top)
-    while not f(lo) < 0.0:
-        lo *= 0.5
-        iters += 1
-        if lo < sys.float_info.min:
-            raise _underflow(p)
-    if not f(top) > 0.0:
+    f, top = _target(p)
+    a, b = sys.float_info.min, top
+    fa, fb = f(a), f(b)
+    if not fa < 0.0:
+        raise _underflow(p)
+    if not fb > 0.0:
         raise NoBracket(f"function not positive at its maximiser for {p}")
 
-    a, b = lo, top
-    while b - a > max(_BISECT_WIDTH * min(1.0, 100.0 * b, 100.0 * (1.0 - b)), math.ulp(b)):
-        m = 0.5 * (a + b)
-        if f(m) < 0.0:
-            a = m
+    ia, ib = (struct.unpack("<q", struct.pack("<d", v))[0] for v in (a, b))
+    iters = 0
+    while ib - ia > 1:
+        im = (ia + ib) // 2
+        m = struct.unpack("<d", struct.pack("<q", im))[0]
+        fm = f(m)
+        if fm < 0.0:
+            ia, a, fa = im, m, fm
         else:
-            b = m
+            ib, b, fb = im, m, fm
         iters += 1
 
-    x = 0.5 * (a + b)
-    for _ in range(40):
-        fx = f(x)
-        dfx = df(x)
-        if 1.0 - x < 0.01:
-            tol = RESIDUAL_TOL * abs(dfx) * 100.0 * (1.0 - x)
-        else:
-            tol = RESIDUAL_TOL * max(1.0, abs(dfx)) * min(1.0, 100.0 * x)
-        if abs(fx) <= tol:
-            break
-        step_to = x - fx / dfx if dfx != 0.0 else a
-        if not a < step_to < b:
-            step_to = 0.5 * (a + b)
-        if f(step_to) < 0.0:
-            a = step_to
-        else:
-            b = step_to
-        x = step_to
-        iters += 1
-
+    x, fx = (a, fa) if abs(fa) < abs(fb) else (b, fb)
     return LimitResult(
         x_inf=x,
         u_inf=u_infinity(p.delta, x),
-        method="bisection-newton",
-        residual=abs(f(x)),
+        method="bisection",
+        residual=abs(fx),
         iterations=iters,
     )
 

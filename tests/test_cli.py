@@ -24,7 +24,7 @@ class TestLimit:
         obj = run_json(capsys, "limit", "--preset", "rho", "--rho", "0")
         assert abs(obj["x_inf"] - 0.203188) <= 1e-5
         assert obj["u_inf"] == 0.0
-        assert obj["method"] == "bisection-newton"
+        assert obj["method"] == "bisection"
         assert obj["preset"] == {"preset": "rho", "rho": 0.0}
 
     def test_explicit_theta_half(self, capsys):

@@ -247,7 +247,7 @@ class TestFluidAndTime:
 
     def test_t_inf_vanishes_as_x_inf_approaches_one(self):
         p = preset_params("dk")
-        near = LimitResult(x_inf=1 - 1e-9, u_inf=0.0, method="bisection-newton",
+        near = LimitResult(x_inf=1 - 1e-9, u_inf=0.0, method="bisection",
                            residual=0.0, iterations=0)
         assert 0.0 < t_infinity(p, near) < 2e-9
 

@@ -7,12 +7,15 @@ purpose re-records the table with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says why in the change log.
+which prints the new table to stdout and the ids of the cases whose
+digests differ from the table below to stderr, and says why in the
+change log.
 """
 
 import contextlib
 import hashlib
 import io
+import sys
 
 import pytest
 
@@ -92,149 +95,152 @@ def run_case(argv, tmp_dir):
     return code, digests
 
 
-# Recorded before the rate-weight and final-size consolidation; a change
-# of any digest must be deliberate and noted in CHANGES.md.
+# Last re-recorded when x_inf became the bisection root on the float grid:
+# the limit, clt, fluid, output-file and verify cases print x_inf or a
+# value derived from it, and x_inf moved in its last bits; no oracle,
+# simulate or presets digest changed.  A change of any digest must be
+# deliberate and noted in CHANGES.md.
 GOLDEN = {
     'clt-apq_dk': (0, [
-        'cf6ffcbc4e302ed6bafc0dc352f3d95408ff4e096ebb45923e9e7cbc32816b1c',
+        '1e04d7e8242d3adb13bea2bec71192d2c0112bcf98f9f0e82f3a3af910aa5098',
     ]),
     'clt-apq_mt': (0, [
         'a32f4a5882651539cc485562d2c085724d3641241db6ae6e7bf351e28e0aedd8',
     ]),
     'clt-cross-apq_dk': (0, [
-        'a811ecfb7aecd3456955a3dcd708a26a4ee30075157ac30f05c2254219d6f490',
+        '29daf917b3bf0e4d2c4056dca65765e953160e68b8de7998da582ea5dcf5aa72',
     ]),
     'clt-cross-apq_mt': (0, [
         'c9062dbae2b0a2a8c50aff4550c073f94da574cea38be5c3568b5dc5c8003331',
     ]),
     'clt-cross-dk': (0, [
-        'a5c0ac5aa4a97fca7d074ffbe11ca95711aa408ff0c76ab48bdd7cc19c01761b',
+        '1c0f852aba54bf2371f063e92601c80c4c37ecdd8c010adabb6d3e210a81b8e7',
     ]),
     'clt-cross-explicit': (0, [
-        '90dbd3bc987dd48d44501e97de8c8be8bf66f0a8d1ead85c2bec94e2faa4fdd0',
+        'a5098c60b05fa1cccf3aa5e9e5a21f034a22619b1b116923a250a584a1de4904',
     ]),
     'clt-cross-hayes': (0, [
-        '133319f2934eaf93204cf30020110f7ad63a66d25ff997bdce3fc0dac8e2ae07',
+        'e333daf3694ca7a361fe71110651e1674ae3959dbc0d5d2c53a2b85531578c71',
     ]),
     'clt-cross-kawachi': (0, [
-        '30c17dac9c3b5cacecb579573952a52a31bdd13d0ae4d24caebad1840dd339ae',
+        '4e9284adfe809a54a017f01137386fdc60e416f1301030af831254967b0646c4',
     ]),
     'clt-cross-mt': (0, [
-        '3f31cc2651d7a41046ab73aa854f9315b7c389f23bc4af98163b47e5dfeed685',
+        'e2c74a648c153210831de2417faf039a544c59a014a5a9baf45edf3751b96474',
     ]),
     'clt-cross-pearce': (0, [
-        '478a04fa667da3d681775b109bf1ae482ea3a1cb68358cbdb226678a45c9e35c',
+        'd708ecd2d0622d2f96a25cc19e90d365cd63ac9b96b1e28260fac151509eeaee',
     ]),
     'clt-cross-rho': (0, [
-        '0942c503df9717156463c8a1a0be71169fcc764c768255c098ff3107d3adf2c4',
+        'abf1bb0944812a4c43bdfc385be4a2e03f4dd52d0342cfc90b1bae1a49b774d7',
     ]),
     'clt-dk': (0, [
-        '4dbd62c0ca637e08547f9ece7b70ff198612605b738af765c9e0cbaabaa9791a',
+        '373c5f834034b210aa849458091187d55718fa9dfd01c1a9f4081839bdc9e405',
     ]),
     'clt-explicit': (0, [
-        '3e710d8dbbf20a0df0612031b10aef10b39cc8afd45b9efb34c27240aa56c590',
+        '51df905013f8c7c53dab80e74f61e762e5d6db089caa5974169c1bf83a7f5130',
     ]),
     'clt-hayes': (0, [
-        '5bf153485f4df8fe5b992195250501c3da8e1e3fcc1b13ebf8ee14dc9104424b',
+        '5462203cda17d16aeefc9a3a4e12ed583906d10cf19a463d671ad159eaab1460',
     ]),
     'clt-kawachi': (0, [
-        '2483fda2a60bdd2c9c8f66f7e0d950b373aa4272dcfe9fbbd4a9cfbb01d49544',
+        'f42a9bba171b14fca5f832e3fc6f4b12685c034c9d6045faae57afb42177cd4e',
     ]),
     'clt-mt': (0, [
-        '30243b5e8717b34fd3dc9265f422f878d8d19b01eff34dcd391e8fd1f010c87d',
+        'b05f09ee05dcf48e182a2601615866aeacd2eb4a5fd8071b699c0594fbf8414f',
     ]),
     'clt-pearce': (0, [
-        '0112b6b33613ea2548b2583bfecce164d1564b24ff4bbdff14a168001a6a362a',
+        '98a65b7eed732ab4ad0f3d9ed0ac30a05e334d177e0993713d6ef2d342d405f1',
     ]),
     'clt-rho': (0, [
-        '23866c4af2bf0ca2b2789e7c846832e7d74c35aef29bd13f86ab8506649fd2b0',
+        'ee9ceb79481143f6b628db883b7a3256026268865b21278466e56a90d879ed40',
     ]),
     'fluid-csv-apq_dk': (0, [
-        '0fc4b5d914d9812a1ca0f5b6e6b88f2f25789b35d53b34271d2f824d4fd65341',
+        '1de9bf7f66beb54821e2907d3d4258807455f0a8126f1a381e15daf440b0f086',
     ]),
     'fluid-csv-apq_mt': (0, [
         '6377255f4a2cd094637e3857c3ef0f5529ecebe28c733ea6f4c3b636e268264e',
     ]),
     'fluid-csv-dk': (0, [
-        '751811a00342bfb5449c15e907e6f9a897ef4d6091572bcd9b28d96e41880ea1',
+        '0d47daf8687e6061b31ed349c574394dcd3c27be4283d39bea2442fb9291b339',
     ]),
     'fluid-csv-explicit': (0, [
-        '0fc4b5d914d9812a1ca0f5b6e6b88f2f25789b35d53b34271d2f824d4fd65341',
+        '1de9bf7f66beb54821e2907d3d4258807455f0a8126f1a381e15daf440b0f086',
     ]),
     'fluid-csv-hayes': (0, [
-        'bfd9135fcc53a40fd904773e385158d3f1943da39547249c39874b2af81904c8',
+        '3311928d5ec2a28da8484b17ef77f677ae8178fc6745a634f8809e3516a2efeb',
     ]),
     'fluid-csv-kawachi': (0, [
-        '41b27c17e8931da393736307d47bdda60c3e81b2231af326282ae48baccfb2e1',
+        '5c162bd4f4f058567048f64f14062184b52d352538f5b9c3eecffeb237f822d7',
     ]),
     'fluid-csv-mt': (0, [
-        '751811a00342bfb5449c15e907e6f9a897ef4d6091572bcd9b28d96e41880ea1',
+        '0d47daf8687e6061b31ed349c574394dcd3c27be4283d39bea2442fb9291b339',
     ]),
     'fluid-csv-pearce': (0, [
-        'eed0ccf3b104dae0f3387e6e666d26501a84e0caea4641ba73073c742d3d4e09',
+        'b36e5b1e9fcd9ae7a3c4ae4c6e7a853fc53ff94f6577abaa3691f21823657c23',
     ]),
     'fluid-csv-rho': (0, [
-        '751811a00342bfb5449c15e907e6f9a897ef4d6091572bcd9b28d96e41880ea1',
+        '0d47daf8687e6061b31ed349c574394dcd3c27be4283d39bea2442fb9291b339',
     ]),
     'fluid-json-apq_dk': (0, [
-        '302861545c7eec29c33e558002ca6803e4e43c710a28808d86c8c6882dbb23a1',
+        '51f027e8402a89972d6f8f8aaae74d82bd584e7d2be765941fda9c04918e8c9b',
     ]),
     'fluid-json-apq_dk-201': (0, [
-        '965ba65e5a8209c4c8adbf842bb83c589ddde9d392332678d2a12bb8da0a39b9',
+        '5b76ba9ffe40ee514dad5cc8cf5502d77d13678ad7c373e75bacf2e10327ac63',
     ]),
     'fluid-json-apq_mt': (0, [
         'f78b7358310cb7ceb5d471a1efa4df9511b86e20908d693d704552f46062aab7',
     ]),
     'fluid-json-dk': (0, [
-        'ba91bdb4561cd5c08c9373d9b7c5a56179327947c0c11b435e9e78fa9ea1081c',
+        'b2858131a4a64544fa4171870170dc77535f3185ff838ce812c64d14798f21ae',
     ]),
     'fluid-json-explicit': (0, [
-        '8d6cdfbe3ea2daa0f078797ea8f37d793fd37774cc9a8fac0724bc4e530294c6',
+        'acf89f85b3466c014afe0d660f458cea18088525c34205a9591635ae639fbbcd',
     ]),
     'fluid-json-hayes': (0, [
-        '5935ebf134ea871911fa154a7cec224f2e7be9fdb221c19a967ae2851596d06c',
+        '97f1be07a0f36e05efec8e98f46ea49710ca679d437707340145b909f4a6abd7',
     ]),
     'fluid-json-kawachi': (0, [
-        'ff3784b20b711eee5f38d2199a9e0d928da9261e63a5a8c15b23c1b169f5bbb8',
+        'b6974be745363f056d21295651587263274b99f0e6ff8ad711ccfa131db05cf8',
     ]),
     'fluid-json-mt': (0, [
-        '096aacb9c36afa97481cb69d08ad5aee4a9fab36c314c226093abd24c44b7843',
+        'b1cc4d87788cf80c39db71dbe5f09189519a826591530207ee3c282a80f0829e',
     ]),
     'fluid-json-pearce': (0, [
-        '59b40ca9a4fddc7736c98a871a2cb0721fde26309bae71692df57130343eded6',
+        '27825062b4f87e29381b6efe0408aa00aea8b7e16b823681caf9cfbaaeb18afd',
     ]),
     'fluid-json-rho': (0, [
-        '1cfda811d58de1b08b3bcc2cf667f3f44c1733a90526dff11e2ef2351e6e22cf',
+        '13eabb8adc5770a1f2d321c651cdd1f80107663d05cca4908e8fe5f417069c8e',
     ]),
     'fluid-t-max': (0, [
-        '571475920037f07688ee1d887f8a3b608ff7a5f603d42b76b08d371f6dd5fa08',
+        'a5c06c9817c863252faba96317843e9cdc90f3880a1fbb6686b039feb0cf2496',
     ]),
     'limit-apq_dk': (0, [
-        'f4b5b7727025468cfd90a3dc8ba7fed7be3484b7b127c9a14e22b9fd69fe750d',
+        '93e141b75c8c5af7251da10476ec2e12e79028dd43d4460b89326d39c65b49ad',
     ]),
     'limit-apq_mt': (0, [
-        'dc2369c24e5c5734661ee5ebc0e37ba644f125372afe237cc8222bb553ae7a31',
+        '7be1178c0aa806cb11eaef3b164db7d033b39617086bcb327d12ef0184d7c3e6',
     ]),
     'limit-dk': (0, [
-        'b543ad213d7e91e44ccf28df3c4749b95cfbd401615ac2d886b9701e35b82be8',
+        '78ede844037d34aa12b41198b8345166b5234908b512c8642e23dc1e6785741e',
     ]),
     'limit-explicit': (0, [
-        '5d43b743ffc220c6b15e25289c5e56c8117fe07075281ea048cbcf01ac1562d2',
+        '1e99f3eff201ab86084d27a1f589c96cd92d99f32035a97f8b5ad950c75926d3',
     ]),
     'limit-hayes': (0, [
-        '24ce9557464376a9f15273cf38717f6ff724fb419fd626f5a65adb830a3f2cec',
+        '15b972f6ed49e8c67550da23a07d13c21a73c3076497a211e3d3dd520f43a7ed',
     ]),
     'limit-kawachi': (0, [
-        '4358edfb26bfb1892be046506c6505ccc63743d8a37996883b8d52d419950d34',
+        'd0752d3cec1c14e2fb76cda2491994b7fe074bc2d91591e9f104490042abe62a',
     ]),
     'limit-mt': (0, [
-        '12803d1417b36d89be07f66825f3c0e5d9ddf320f61e071d948c7e04e54597cc',
+        'df1f8d7da9cda26b1e43094de417d2ac4ba60933e69200c64de22ee84eef7026',
     ]),
     'limit-pearce': (0, [
-        '20c0172e57e1571973afa7ebcc90b0cfeebb9083882500918e712128501857ec',
+        '04203d13d5aefc0f711b048b45682c331f9f9ea04776a963af21b1318c044b64',
     ]),
     'limit-rho': (0, [
-        '0208df37d57b625071761734b9403fa250f5de13a3238220dad59b7d02d84f9a',
+        '0e9cf465642bc01eec3fa14e93285f2af58d615d256e51739fbd03b28a980dde',
     ]),
     'oracle-csv-apq_dk': (0, [
         '20dfde07aece78a05caf37ee75942c898e46ef955182e78549f63d409c0673a9',
@@ -301,7 +307,7 @@ GOLDEN = {
     ]),
     'output-file': (0, [
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        '3e710d8dbbf20a0df0612031b10aef10b39cc8afd45b9efb34c27240aa56c590',
+        '51df905013f8c7c53dab80e74f61e762e5d6db089caa5974169c1bf83a7f5130',
     ]),
     'presets': (0, [
         'bf58289067ed2b4d8052c877cf39b4afe37c181870d474ae9a599104529a755f',
@@ -326,16 +332,16 @@ GOLDEN = {
         '3b77de0c6ac89ef34fe2a38cbc9e7df35faa2562245a9cb1fe1b1310d3697b62',
     ]),
     'verify-block-exact-time': (0, [
-        'c67db38f716407463d16f7452bba7a813dfc991472a9c9620d0226c9f7e16464',
+        'bf6602b5d0642edd4ed0d9562ffe6d777f4283a1faba1b5fa5f715fda43fecdc',
     ]),
     'verify-block-jump-chain': (0, [
-        '4291cc5ee0be47f125196647b7576180d4589422312af44a83f04915eaa9733a',
+        '438126681d4735d8c7bebd5466dd6b2f3053d84d9258dd9deb6478f0fdd927fd',
     ]),
     'verify-fail': (1, [
-        '9cd461aae58ef0627efc9a522e4c810848c68f0123ab9e4ba3135e9b9e7ba5ef',
+        '0eaba381f12e4bf3865aa35e0c9b9e9ca4d42d8925a05fddc29f72ba65dc2e42',
     ]),
     'verify-mt': (0, [
-        'b4adba86ef095547c941c26e7c872f0311adb64e107dd6387a80baa8fe71320f',
+        'd98475a7d41f1baaa4c726db828ad536031234f845856f90e6c0233e98190728',
     ]),
 }
 
@@ -368,4 +374,6 @@ if __name__ == "__main__":
         for _h in _digests:
             print(f"        {_h!r},")
         print("    ]),")
+        if GOLDEN.get(_case) != (_code, _digests):
+            print(_case, file=sys.stderr)
     print("}")

@@ -11,6 +11,7 @@ from rumour.limits import (
     lambert_w0,
     lambert_wm1,
     solve_x_infinity,
+    theta_branch,
     u_infinity,
     x_infinity_closed_form,
     _target,
@@ -20,6 +21,11 @@ from rumour.model import ModelParams, preset_params
 # printed to six figures in the literature for the classic models
 X_INF_RHO = 0.203188
 X_INF_HAYES = 0.284668
+# the doubles nearest the roots, which mpmath at 40 digits puts at
+# 0.2031878699799799538384790620624198791055 (DK, theta = 0) and
+# 0.2846681370408384616802256767697191309865 (Hayes, theta = 1)
+X_INF_DK_NEAREST = 0.20318786997997995
+X_INF_HAYES_NEAREST = 0.2846681370408385
 # frozen independent oracle values (scipy.special.lambertw)
 W0_AT_2 = -0.40637573995996
 WM1_HALF = -1.7564312086261695
@@ -27,6 +33,17 @@ WM1_HALF = -1.7564312086261695
 
 def params_theta(gamma, delta, theta, lam=1.0):
     return ModelParams(lam=lam, gamma=gamma, theta1=gamma + theta, theta2=0.0, delta=delta)
+
+
+def df_theta_eval(x, p):
+    """Derivative in x of f, f0 or f1, by the branch that theta selects."""
+    g, d, th = p.gamma, p.delta, p.theta
+    b = theta_branch(th)
+    if b == 0:
+        return -(g + d) + g / x
+    if b == 1:
+        return g - (g + d) * (math.log(x) + 1.0)
+    return ((g + d * th) * th * x ** (th - 1.0) - (g + d) * th) / (th * (1.0 - th))
 
 
 class TestFFunctions:
@@ -73,14 +90,14 @@ class TestArgmax:
 
     def test_explicit_value_theta_half(self):
         p = params_theta(gamma=1.0, delta=1.0, theta=0.5)
-        assert math.isclose(_target(p)[2], 0.5625, rel_tol=1e-14)
+        assert math.isclose(_target(p)[1], 0.5625, rel_tol=1e-14)
 
     def test_f_positive_at_argmax_sweep(self):
         # needed for safe bracketing, any valid interior-theta parameters
         rng = rng_for("argmax-positive")
         for _ in range(1000):
             p = random_params(rng, theta=float(rng.uniform(0.005, 0.995)))
-            f, _, m = _target(p)
+            f, m = _target(p)
             assert 0.0 < m < 1.0
             assert f(m) > 0.0
 
@@ -90,11 +107,15 @@ class TestSolver:
         lim = solve_x_infinity(preset_params("rho", rho=0.3))
         assert abs(lim.x_inf - X_INF_RHO) <= 1e-5
         assert lim.u_inf == 0.0
-        assert lim.method == "bisection-newton"
+        assert lim.method == "bisection"
 
     def test_hayes_value(self):
         lim = solve_x_infinity(preset_params("hayes"))
         assert abs(lim.x_inf - X_INF_HAYES) <= 1e-5
+
+    def test_classic_roots_are_nearest_doubles(self):
+        assert solve_x_infinity(preset_params("dk")).x_inf == X_INF_DK_NEAREST
+        assert solve_x_infinity(preset_params("hayes")).x_inf == X_INF_HAYES_NEAREST
 
     def test_theta_half_explicit(self):
         p = params_theta(gamma=1.0, delta=1.0, theta=0.5)
@@ -107,10 +128,14 @@ class TestSolver:
             p = random_params(rng)
             lim = solve_x_infinity(p)
             g, d = p.gamma, p.delta
-            assert 0.0 < lim.x_inf < g / (g + d)
-            _, df, _ = _target(p)
-            assert lim.residual <= 1e-12 * max(1.0, abs(df(lim.x_inf)))
-            assert lim.u_inf == (1.0 - d) * (1.0 - lim.x_inf)
+            x = lim.x_inf
+            assert 0.0 < x < g / (g + d)
+            assert lim.residual <= 1e-12 * max(1.0, abs(df_theta_eval(x, p)))
+            assert lim.u_inf == (1.0 - d) * (1.0 - x)
+            # x and a neighbouring float bracket the sign change of f
+            lo, hi = math.nextafter(x, 0.0), math.nextafter(x, 1.0)
+            fx = f_theta_eval(x, p)
+            assert f_theta_eval(lo, p) < 0.0 <= fx or fx < 0.0 <= f_theta_eval(hi, p)
 
     def test_boundary_theta_sweep(self):
         rng = rng_for("solver-boundary")
@@ -157,6 +182,16 @@ class TestSolver:
                 b = m
         x = solve_x_infinity(params_theta(gamma=g, delta=delta, theta=theta)).x_inf
         assert abs((1.0 - x) - a) <= 1e-7 * a
+
+    @pytest.mark.xfail(strict=True, raises=NoBracket,
+                       reason="f cancels near x = 1 on the interior branch; ROADMAP item 6 "
+                              "(solve in s = 1 - x with the root at s = 0 divided out)")
+    @pytest.mark.parametrize("delta", [1e-8, 1e-9, 1e-10])
+    def test_interior_root_near_one_relative_to_distance(self, delta):
+        # at theta = 1/2, x_inf = (1 + delta)**-2 exactly
+        s = -math.expm1(-2.0 * math.log1p(delta))
+        x = solve_x_infinity(params_theta(gamma=1.0, delta=delta, theta=0.5)).x_inf
+        assert abs((1.0 - x) - s) <= 1e-7 * s
 
     def test_underflowing_root_raises(self):
         # x_inf = exp(-10001) at theta = 0, far below the float range

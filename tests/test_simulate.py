@@ -355,7 +355,7 @@ class TestVerify:
         # u = [0, 0, 0, 0] against a theory with s12 = s22 = 0: zero entries
         # match exactly (rel_err 0) and the u-mean deviates by 0 of 0.
         stats = McStats(reps=4, n=4, master_seed=0, sx=5, su=0, sxx=7, sxu=0, suu=0)
-        lim = LimitResult(0.25, 0.0, "bisection-newton", 0.0, 0)
+        lim = LimitResult(0.25, 0.0, "bisection", 0.0, 0)
         rep = verify(stats, lim, CovMatrix2(0.25, 0.0, 0.0))
         assert ordered(rep.to_json_obj()) == ordered({
             "n": 4, "reps": 4, "x_inf": 0.25, "u_inf": 0.0, "mean_x": 0.3125, "mean_u": 0.0,
@@ -375,7 +375,7 @@ class TestVerify:
         # empirical s11 has rel_err inf and fails, the deviating x-mean has
         # z = inf, and the verdict fails.
         stats = McStats(reps=4, n=4, master_seed=0, sx=5, su=4, sxx=7, sxu=6, suu=6)
-        lim = LimitResult(0.25, 0.5, "bisection-newton", 0.0, 0)
+        lim = LimitResult(0.25, 0.5, "bisection", 0.0, 0)
         rep = verify(stats, lim, CovMatrix2(0.0, 0.0625, 0.25))
         twelfth, sixth = 0.08333333333333333, 0.16666666666666666
         assert ordered(rep.to_json_obj()) == ordered({
