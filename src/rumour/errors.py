@@ -16,7 +16,8 @@ class DomainError(RumourError, ValueError):
 class NoBracket(RumourError):
     """The float-grid bisection for x_inf has no bracket: f is not negative
     at the smallest normal float (x_inf underflows; gamma small against
-    delta) or not positive at its maximiser (delta tiny; f cancels near 1)."""
+    delta) or not positive at its maximiser (delta/gamma below about 1e-15,
+    where x_inf lies within twenty doubles of 1)."""
 
 
 class NotApplicable(RumourError):

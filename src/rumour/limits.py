@@ -1,24 +1,28 @@
 """Limiting fractions at absorption.
 
 As N grows, the fraction of never-informed individuals converges to the
-unique root in (0, 1) of a transcendental equation.  For 0 < theta < 1
-the defining function is
+unique root in (0, 1) of one transcendental equation.  For every theta in
+[0, 1] the defining function is
 
-    f(x) = ((gamma + delta*theta) * x**theta - (gamma + delta)*theta*x
-            - gamma*(1 - theta)) / (theta * (1 - theta))
+    f(x) = gamma*q(theta) - (gamma + delta)*x**theta*q(1 - theta),
+    q(t) = (x**t - 1)/t = expm1(t*log(x))/t,  q(0) = log(x),  q(1) = -(1 - x).
 
-with the boundary limits
+For 0 < theta < 1 it equals ((gamma + delta*theta)*x**theta - (gamma +
+delta)*theta*x - gamma*(1 - theta))/(theta*(1 - theta)); at the ends it is,
+to the bit,
 
     f0(x) = (gamma + delta)*(1 - x) + gamma*log(x)              (theta = 0)
     f1(x) = -gamma*(1 - x) - (gamma + delta)*x*log(x)           (theta = 1)
 
-Each is unimodal on (0, 1] with a negative left tail and a zero at x = 1,
-so the root is the only sign change between the smallest normal float and
-the interior maximiser, and bisection over the float grid finds it with no
-tolerance to tune.  At theta in {0, 1} the root also has a Lambert-W
-closed form, and at theta = 1/2 it is (gamma / (gamma + delta))**2; those
-routes are kept independent of the bracketed solver so each can check the
-other.  The root never depends on lambda.
+Written with q, f divides by neither theta nor 1 - theta and keeps its
+digits near x = 1, so no band of theta and no root near 1 needs a formula
+of its own.  f is unimodal on (0, 1] with a negative left tail and a zero
+at x = 1, so the root is the only sign change between the smallest normal
+float and the interior maximiser, and bisection over the float grid finds
+it with no tolerance to tune.  At theta in {0, 1} the root also has a
+Lambert-W closed form, and at theta = 1/2 it is (gamma / (gamma + delta))**2;
+those routes are kept independent of the bracketed solver so each can check
+the other.  The root never depends on lambda.
 """
 
 from __future__ import annotations
@@ -31,8 +35,8 @@ from dataclasses import dataclass
 from rumour.errors import DomainError, NoBracket, NotApplicable
 from rumour.model import ModelParams
 
-# theta within this distance of a boundary dispatches to f0/f1; below the
-# float noise of computing theta1 + theta2 - gamma.
+# theta within this distance of 0, 1/2 or 1 selects that closed form in
+# x_infinity_closed_form; the solver's f has no such band.
 THETA_EPS = 1e-9
 
 _BRANCH_POINT = -math.exp(-1.0)  # -1/e
@@ -70,49 +74,50 @@ def theta_branch(theta: float) -> int | None:
     return None
 
 
-def _target(p: ModelParams):
-    """(f, bracket top) for the branch that theta selects.
+def _q(t: float, x: float, log_x: float) -> float:
+    """(x**t - 1)/t, with its limits log(x) at t = 0 and -(1 - x) at t = 1."""
+    if t == 0.0:
+        return log_x
+    if t == 1.0:
+        return -(1.0 - x)
+    return math.expm1(t * log_x) / t
 
-    The bracket top is the interior maximiser: for f0 it is
-    gamma/(gamma+delta) (root of f0'), for f1 it is exp(-delta/(gamma+delta))
-    (root of f1'), both strictly above the sought root.  f0 and f1 are
-    defined on (0, 1] and raise DomainError below.
+
+def _target(p: ModelParams):
+    """(f, bracket top) for any theta in [0, 1].
+
+    f is defined on (0, 1]; for theta > 0 it takes its limit -gamma/theta
+    at x = 0.  The bracket top is the maximiser ((gamma + delta*theta)/
+    (gamma + delta))**(1/(1 - theta)) = (1 - r*(1 - theta))**(1/(1 - theta))
+    with r = delta/(gamma + delta): pow is exact at theta = 0, log1p keeps
+    the digits as theta nears 1, and at theta = 1 it is exp(-r).
     """
     g, d = p.gamma, p.delta
     th = p.theta
-    b = theta_branch(th)
-    if b == 0:
+    u = 1.0 - th
 
-        def f(x):
-            if x <= 0:
-                raise DomainError(f"f0 needs x > 0, got {x!r}")
-            return (g + d) * (1.0 - x) + g * math.log(x)
+    def f(x):
+        if x < 0.0 or (x == 0.0 and th == 0.0):
+            raise DomainError(f"f needs x > 0 at theta = {th!r}, got {x!r}")
+        if x == 0.0:
+            return -g / th
+        log_x = math.log(x)
+        return g * _q(th, x, log_x) - (g + d) * x**th * _q(u, x, log_x)
 
-        top = g / (g + d)
-    elif b == 1:
-
-        def f(x):
-            if x <= 0:
-                raise DomainError(f"f1 needs x > 0, got {x!r}")
-            return -g * (1.0 - x) - (g + d) * x * math.log(x)
-
-        top = math.exp(-d / (g + d))
+    r = d / (g + d)
+    if u > 0.5:
+        top = ((g + d * th) / (g + d)) ** (1.0 / u)
+    elif u > 0.0:
+        top = math.exp(math.log1p(-r * u) / u)
     else:
-        c1 = g + d * th
-        c2 = (g + d) * th
-        c3 = g * (1.0 - th)
-        den = th * (1.0 - th)
-
-        def f(x):
-            return (c1 * x**th - c2 * x - c3) / den
-
-        top = (c1 / (g + d)) ** (1.0 / (1.0 - th))
+        top = math.exp(-r)
     return f, top
 
 
 def f_theta_eval(x: float, p: ModelParams) -> float:
-    """The final-size function f, f0 or f1 at x, according to where theta
-    sits."""
+    """The final-size function f at x: one formula for every theta in
+    [0, 1], equal to f0 and f1 at the ends.  Raises DomainError for x < 0,
+    and for x = 0 at theta = 0."""
     return _target(p)[0](x)
 
 
@@ -133,9 +138,10 @@ def solve_x_infinity(p: ModelParams) -> LimitResult:
     at most 63 steps leave adjacent floats a < b with f(a) < 0 <= f(b).
     Of the two, the one with the smaller |f| is returned (b on a tie).
 
-    f cancels near x = 1.  At theta in {0, 1}, 1 - x_inf is within 2e-9
-    relative down to delta = 1e-8; at interior theta it loses digits from
-    delta of about 1e-6, and the bracket fails from about 3e-8.
+    Near x = 1 the root is within a few ulps of x: at gamma = 1 and theta
+    in {0.1, 1/2, 0.9}, within 3.6 ulps of a 50-digit root for delta from
+    1e-6 down to 1e-12.  Near 1 the bracket fails only when delta/gamma is
+    below about 1e-15, where x_inf lies within twenty doubles of 1.
     """
     f, top = _target(p)
     a, b = sys.float_info.min, top
@@ -172,16 +178,6 @@ def solve_x_infinity(p: ModelParams) -> LimitResult:
 # --------------------------------------------------------------------------
 
 
-def _branch_series(z: float, sign: float) -> float:
-    """Series about the branch point -1/e: w = -1 + p - p^2/3 + 11 p^3/72,
-    with p = sign * sqrt(2 (1 + e z))."""
-    p2 = 2.0 * (1.0 + math.e * z)
-    if p2 < 0.0:  # float rounding just below the branch point
-        p2 = 0.0
-    p = sign * math.sqrt(p2)
-    return -1.0 + p * (1.0 - p * (1.0 / 3.0 - p * (11.0 / 72.0)))
-
-
 def _halley(z: float, w: float) -> tuple[float, int]:
     for i in range(1, 61):
         ew = math.exp(w)
@@ -196,48 +192,42 @@ def _halley(z: float, w: float) -> tuple[float, int]:
     return w, 60
 
 
-def _lambert_w0_impl(z: float) -> tuple[float, int]:
-    if math.isnan(z) or z < _BRANCH_POINT:
-        raise DomainError(f"W0 needs z >= -1/e, got {z!r}")
-    if z == 0.0:
-        return 0.0, 0
-    if z == _BRANCH_POINT:
-        return -1.0, 0
-    if z < 0.25 * _BRANCH_POINT:
-        w = _branch_series(z, 1.0)
-        if 2.0 * (1.0 + math.e * z) <= 1e-8:
-            return w, 0  # series already at float accuracy
-    elif z < math.e:
-        w = math.log1p(z)
-    else:
-        lz = math.log(z)
-        w = lz - math.log(lz)
-    return _halley(z, w)
-
-
-def _lambert_wm1_impl(z: float) -> tuple[float, int]:
-    if math.isnan(z) or z < _BRANCH_POINT or z >= 0.0:
+def _lambert_w(z: float, branch: int) -> tuple[float, int]:
+    """(W(z), Halley steps) on the real branch 0 (W0) or -1 (W-1)."""
+    if branch == 0:
+        if math.isnan(z) or z < _BRANCH_POINT:
+            raise DomainError(f"W0 needs z >= -1/e, got {z!r}")
+        if z == 0.0:
+            return 0.0, 0
+    elif math.isnan(z) or z < _BRANCH_POINT or z >= 0.0:
         raise DomainError(f"W-1 needs -1/e <= z < 0, got {z!r}")
     if z == _BRANCH_POINT:
         return -1.0, 0
     if z < 0.25 * _BRANCH_POINT:
-        w = _branch_series(z, -1.0)
-        if 2.0 * (1.0 + math.e * z) <= 1e-8:
-            return w, 0
+        # series about the branch point: w = -1 + p - p^2/3 + 11 p^3/72
+        p2 = 2.0 * (1.0 + math.e * z)
+        if p2 < 0.0:  # float rounding just below the branch point
+            p2 = 0.0
+        p = math.sqrt(p2) if branch == 0 else -math.sqrt(p2)
+        w = -1.0 + p * (1.0 - p * (1.0 / 3.0 - p * (11.0 / 72.0)))
+        if p2 <= 1e-8:
+            return w, 0  # series already at float accuracy
+    elif branch == 0 and z < math.e:
+        w = math.log1p(z)
     else:
-        l1 = math.log(-z)
-        w = l1 - math.log(-l1)
+        lz = math.log(abs(z))
+        w = lz - math.log(abs(lz))
     return _halley(z, w)
 
 
 def lambert_w0(z: float) -> float:
     """Principal real branch (W0 >= -1) of the inverse of w * exp(w)."""
-    return _lambert_w0_impl(z)[0]
+    return _lambert_w(z, 0)[0]
 
 
 def lambert_wm1(z: float) -> float:
     """Lower real branch (W-1 <= -1), defined on [-1/e, 0)."""
-    return _lambert_wm1_impl(z)[0]
+    return _lambert_w(z, -1)[0]
 
 
 def x_infinity_closed_form(p: ModelParams) -> LimitResult:
@@ -259,11 +249,11 @@ def x_infinity_closed_form(p: ModelParams) -> LimitResult:
     if b is not None and not math.isfinite(h):
         raise _underflow(p)  # x < 1/h lies below the float range
     if b == 0:
-        w, iters = _lambert_w0_impl(-h * math.exp(-h))
+        w, iters = _lambert_w(-h * math.exp(-h), 0)
         x = -w / h
         method = "lambert-w"
     elif b == 1:
-        w, iters = _lambert_wm1_impl(-math.exp(-1.0 / h) / h)
+        w, iters = _lambert_w(-math.exp(-1.0 / h) / h, -1)
         x = -1.0 / (h * w)
         method = "lambert-w"
     elif abs(th - 0.5) <= THETA_EPS:

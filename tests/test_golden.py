@@ -95,20 +95,22 @@ def run_case(argv, tmp_dir):
     return code, digests
 
 
-# Last re-recorded when x_inf became the bisection root on the float grid:
-# the limit, clt, fluid, output-file and verify cases print x_inf or a
-# value derived from it, and x_inf moved in its last bits; no oracle,
-# simulate or presets digest changed.  A change of any digest must be
-# deliberate and noted in CHANGES.md.
+# Last re-recorded when one final-size function f replaced the three
+# theta branches: at interior theta (the apq_dk, kawachi and explicit
+# points) the limit, clt, fluid and output-file cases print x_inf or a
+# value derived from it, and x_inf moved in its last bits, toward the true
+# root; no case at theta in {0, 1} and no oracle, simulate, verify or
+# presets digest changed.  A change of any digest must be deliberate and
+# noted in CHANGES.md.
 GOLDEN = {
     'clt-apq_dk': (0, [
-        '1e04d7e8242d3adb13bea2bec71192d2c0112bcf98f9f0e82f3a3af910aa5098',
+        'cf6ffcbc4e302ed6bafc0dc352f3d95408ff4e096ebb45923e9e7cbc32816b1c',
     ]),
     'clt-apq_mt': (0, [
         'a32f4a5882651539cc485562d2c085724d3641241db6ae6e7bf351e28e0aedd8',
     ]),
     'clt-cross-apq_dk': (0, [
-        '29daf917b3bf0e4d2c4056dca65765e953160e68b8de7998da582ea5dcf5aa72',
+        '7eaba5215bec05969e8765c184c22a1f15829261039b8d4b334a4dd0fa53e024',
     ]),
     'clt-cross-apq_mt': (0, [
         'c9062dbae2b0a2a8c50aff4550c073f94da574cea38be5c3568b5dc5c8003331',
@@ -117,13 +119,13 @@ GOLDEN = {
         '1c0f852aba54bf2371f063e92601c80c4c37ecdd8c010adabb6d3e210a81b8e7',
     ]),
     'clt-cross-explicit': (0, [
-        'a5098c60b05fa1cccf3aa5e9e5a21f034a22619b1b116923a250a584a1de4904',
+        '8ae60b442b4a39ebef304d973a7bff6d60e7b8b5e3fc043cb173d0adf22d4f15',
     ]),
     'clt-cross-hayes': (0, [
         'e333daf3694ca7a361fe71110651e1674ae3959dbc0d5d2c53a2b85531578c71',
     ]),
     'clt-cross-kawachi': (0, [
-        '4e9284adfe809a54a017f01137386fdc60e416f1301030af831254967b0646c4',
+        '2316ba7dd78ad9bc85e4209d4b75d1449d8187055c0a7268a0d3cace85b01bf3',
     ]),
     'clt-cross-mt': (0, [
         'e2c74a648c153210831de2417faf039a544c59a014a5a9baf45edf3751b96474',
@@ -138,13 +140,13 @@ GOLDEN = {
         '373c5f834034b210aa849458091187d55718fa9dfd01c1a9f4081839bdc9e405',
     ]),
     'clt-explicit': (0, [
-        '51df905013f8c7c53dab80e74f61e762e5d6db089caa5974169c1bf83a7f5130',
+        '3e710d8dbbf20a0df0612031b10aef10b39cc8afd45b9efb34c27240aa56c590',
     ]),
     'clt-hayes': (0, [
         '5462203cda17d16aeefc9a3a4e12ed583906d10cf19a463d671ad159eaab1460',
     ]),
     'clt-kawachi': (0, [
-        'f42a9bba171b14fca5f832e3fc6f4b12685c034c9d6045faae57afb42177cd4e',
+        'c8f4bc05817beb51d77d5b89b027431e0c9c4f0f2233739f9b8aebf9745ab999',
     ]),
     'clt-mt': (0, [
         'b05f09ee05dcf48e182a2601615866aeacd2eb4a5fd8071b699c0594fbf8414f',
@@ -156,7 +158,7 @@ GOLDEN = {
         'ee9ceb79481143f6b628db883b7a3256026268865b21278466e56a90d879ed40',
     ]),
     'fluid-csv-apq_dk': (0, [
-        '1de9bf7f66beb54821e2907d3d4258807455f0a8126f1a381e15daf440b0f086',
+        '9a9f202dae63b9f61d15be403824a75c14c532415cb5ca57d86c61a05cd6e971',
     ]),
     'fluid-csv-apq_mt': (0, [
         '6377255f4a2cd094637e3857c3ef0f5529ecebe28c733ea6f4c3b636e268264e',
@@ -165,13 +167,13 @@ GOLDEN = {
         '0d47daf8687e6061b31ed349c574394dcd3c27be4283d39bea2442fb9291b339',
     ]),
     'fluid-csv-explicit': (0, [
-        '1de9bf7f66beb54821e2907d3d4258807455f0a8126f1a381e15daf440b0f086',
+        '9a9f202dae63b9f61d15be403824a75c14c532415cb5ca57d86c61a05cd6e971',
     ]),
     'fluid-csv-hayes': (0, [
         '3311928d5ec2a28da8484b17ef77f677ae8178fc6745a634f8809e3516a2efeb',
     ]),
     'fluid-csv-kawachi': (0, [
-        '5c162bd4f4f058567048f64f14062184b52d352538f5b9c3eecffeb237f822d7',
+        '57379fa9cf7c8eae2dfc349362aa665394fb78ac6d441a8d0069cf8e6cf44608',
     ]),
     'fluid-csv-mt': (0, [
         '0d47daf8687e6061b31ed349c574394dcd3c27be4283d39bea2442fb9291b339',
@@ -183,10 +185,10 @@ GOLDEN = {
         '0d47daf8687e6061b31ed349c574394dcd3c27be4283d39bea2442fb9291b339',
     ]),
     'fluid-json-apq_dk': (0, [
-        '51f027e8402a89972d6f8f8aaae74d82bd584e7d2be765941fda9c04918e8c9b',
+        '29cfe48bfb9c30f1e8193b1ae31f3ca8e86af4978f23ed4454698ee7288a2bbb',
     ]),
     'fluid-json-apq_dk-201': (0, [
-        '5b76ba9ffe40ee514dad5cc8cf5502d77d13678ad7c373e75bacf2e10327ac63',
+        '0df1f5e49427652ff8d7bbdd514459fcd415be2d48218cb4b5dd89fe67bac5a9',
     ]),
     'fluid-json-apq_mt': (0, [
         'f78b7358310cb7ceb5d471a1efa4df9511b86e20908d693d704552f46062aab7',
@@ -195,13 +197,13 @@ GOLDEN = {
         'b2858131a4a64544fa4171870170dc77535f3185ff838ce812c64d14798f21ae',
     ]),
     'fluid-json-explicit': (0, [
-        'acf89f85b3466c014afe0d660f458cea18088525c34205a9591635ae639fbbcd',
+        '8d7349f4bfa23b50cb49c133394663ab5d7f988c3b2336be3207533672906177',
     ]),
     'fluid-json-hayes': (0, [
         '97f1be07a0f36e05efec8e98f46ea49710ca679d437707340145b909f4a6abd7',
     ]),
     'fluid-json-kawachi': (0, [
-        'b6974be745363f056d21295651587263274b99f0e6ff8ad711ccfa131db05cf8',
+        '6c8580868105e7538556e1fd200914eb7a5ff0ab863c86162c7bc35c84f9a608',
     ]),
     'fluid-json-mt': (0, [
         'b1cc4d87788cf80c39db71dbe5f09189519a826591530207ee3c282a80f0829e',
@@ -216,7 +218,7 @@ GOLDEN = {
         'a5c06c9817c863252faba96317843e9cdc90f3880a1fbb6686b039feb0cf2496',
     ]),
     'limit-apq_dk': (0, [
-        '93e141b75c8c5af7251da10476ec2e12e79028dd43d4460b89326d39c65b49ad',
+        'e90d03f3007aed67d3fd1f85b1e56924be3bebdd3be384e438723d69723057c4',
     ]),
     'limit-apq_mt': (0, [
         '7be1178c0aa806cb11eaef3b164db7d033b39617086bcb327d12ef0184d7c3e6',
@@ -225,13 +227,13 @@ GOLDEN = {
         '78ede844037d34aa12b41198b8345166b5234908b512c8642e23dc1e6785741e',
     ]),
     'limit-explicit': (0, [
-        '1e99f3eff201ab86084d27a1f589c96cd92d99f32035a97f8b5ad950c75926d3',
+        '7eca8590eb73cfb136f993ac17ba6015070911e92f1f6fe624a37e8b82853c55',
     ]),
     'limit-hayes': (0, [
         '15b972f6ed49e8c67550da23a07d13c21a73c3076497a211e3d3dd520f43a7ed',
     ]),
     'limit-kawachi': (0, [
-        'd0752d3cec1c14e2fb76cda2491994b7fe074bc2d91591e9f104490042abe62a',
+        '0316080e2627b14d1c553090f15aa01555f75d522c9d98ee0e3f79e341e4c230',
     ]),
     'limit-mt': (0, [
         'df1f8d7da9cda26b1e43094de417d2ac4ba60933e69200c64de22ee84eef7026',
@@ -307,7 +309,7 @@ GOLDEN = {
     ]),
     'output-file': (0, [
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        '51df905013f8c7c53dab80e74f61e762e5d6db089caa5974169c1bf83a7f5130',
+        '3e710d8dbbf20a0df0612031b10aef10b39cc8afd45b9efb34c27240aa56c590',
     ]),
     'presets': (0, [
         'bf58289067ed2b4d8052c877cf39b4afe37c181870d474ae9a599104529a755f',

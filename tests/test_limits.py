@@ -1,4 +1,6 @@
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -46,6 +48,30 @@ def df_theta_eval(x, p):
     return ((g + d * th) * th * x ** (th - 1.0) - (g + d) * th) / (th * (1.0 - th))
 
 
+def decimal_root(p):
+    """x_inf, 0 < theta < 1, by bisection in 60-digit decimal arithmetic of
+    f written as ((gamma + delta*theta)*x**theta - (gamma + delta)*theta*x
+    - gamma*(1 - theta))/(theta*(1 - theta)).  Near x = 1 and next to theta
+    in {0, 1} that form cancels some 25 digits, which leaves the root far
+    below one ulp of a double."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        g, d, th = Decimal(p.gamma), Decimal(p.delta), Decimal(p.theta)
+
+        def f(x):
+            x_th = (th * x.ln()).exp()
+            return ((g + d * th) * x_th - (g + d) * th * x - g * (1 - th)) / (th * (1 - th))
+
+        a, b = Decimal("1e-300"), 1 - Decimal("1e-40")
+        for _ in range(250):
+            m = (a + b) / 2
+            if f(m) < 0:
+                a = m
+            else:
+                b = m
+        return a
+
+
 class TestFFunctions:
     def test_f_vanishes_at_one(self):
         rng = rng_for("f-at-one")
@@ -54,9 +80,10 @@ class TestFFunctions:
             assert abs(f_theta_eval(1.0, p)) <= 1e-13 * max(1.0, p.gamma + p.delta)
 
     def test_f_at_zero_is_minus_gamma_over_theta(self):
-        p = params_theta(gamma=1.3, delta=0.7, theta=0.4)
-        assert math.isclose(f_theta_eval(0.0, p), -1.3 / 0.4, rel_tol=1e-12)
-        assert f_theta_eval(0.0, p) < 0
+        for theta in (0.4, 1.0):
+            p = params_theta(gamma=1.3, delta=0.7, theta=theta)
+            assert math.isclose(f_theta_eval(0.0, p), -1.3 / theta, rel_tol=1e-12)
+            assert f_theta_eval(0.0, p) < 0
 
     def test_f_quarter_root_at_theta_half(self):
         p = params_theta(gamma=1.0, delta=1.0, theta=0.5)
@@ -81,8 +108,11 @@ class TestFFunctions:
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             f_theta_eval(0.0, preset_params("dk"))
-        with pytest.raises(DomainError):
-            f_theta_eval(-0.5, preset_params("hayes"))
+        for theta in (0.0, 0.5, 1.0):
+            with pytest.raises(DomainError):
+                f_theta_eval(-0.5, params_theta(gamma=1.0, delta=1.0, theta=theta))
+            with pytest.raises(DomainError):
+                f_theta_eval(-5e-324, params_theta(gamma=1.0, delta=1.0, theta=theta))
 
 
 class TestArgmax:
@@ -183,15 +213,28 @@ class TestSolver:
         x = solve_x_infinity(params_theta(gamma=g, delta=delta, theta=theta)).x_inf
         assert abs((1.0 - x) - a) <= 1e-7 * a
 
-    @pytest.mark.xfail(strict=True, raises=NoBracket,
-                       reason="f cancels near x = 1 on the interior branch; ROADMAP item 6 "
-                              "(solve in s = 1 - x with the root at s = 0 divided out)")
     @pytest.mark.parametrize("delta", [1e-8, 1e-9, 1e-10])
     def test_interior_root_near_one_relative_to_distance(self, delta):
         # at theta = 1/2, x_inf = (1 + delta)**-2 exactly
         s = -math.expm1(-2.0 * math.log1p(delta))
         x = solve_x_infinity(params_theta(gamma=1.0, delta=delta, theta=0.5)).x_inf
         assert abs((1.0 - x) - s) <= 1e-7 * s
+
+    @pytest.mark.parametrize("theta", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("delta", [1e-6, 1e-8, 1e-10, 1e-12])
+    def test_interior_roots_near_one_within_ulps(self, theta, delta):
+        p = params_theta(gamma=1.0, delta=delta, theta=theta)
+        x = solve_x_infinity(p).x_inf
+        assert abs(Decimal(x) - decimal_root(p)) <= 4 * Decimal(math.ulp(x))
+
+    @pytest.mark.parametrize("near", [1e-12, 1e-10, 2e-9, 1e-8, 1e-6, 1e-4])
+    @pytest.mark.parametrize("end", [0.0, 1.0])
+    def test_theta_next_to_boundary_within_ulps(self, near, end):
+        # theta within a few 1e-9 of 0 or 1 gets the same f as any other
+        # theta, not f0 or f1 of the nearby boundary
+        p = params_theta(gamma=1.0, delta=1.0, theta=abs(end - near))
+        x = solve_x_infinity(p).x_inf
+        assert abs(Decimal(x) - decimal_root(p)) <= 6 * Decimal(math.ulp(x))
 
     def test_underflowing_root_raises(self):
         # x_inf = exp(-10001) at theta = 0, far below the float range
