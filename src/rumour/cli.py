@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -315,7 +316,11 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: it holds no
+    state between parses, and main looks each command's handler up in
+    COMMANDS on every call."""
     ap = argparse.ArgumentParser(
         prog="rumour",
         description="General stochastic rumour model: limits, CLT covariance, "

@@ -27,6 +27,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from rumour.errors import ConstraintViolation
 
 # Derived theta within this distance of 0 or 1 snaps to the boundary;
@@ -108,20 +110,45 @@ class ModelParams:
 
 def rate_weights(x, y, n: int, p: ModelParams):
     """The four lambda-free transition weights (w0, w1, w2, w3) at a state;
-    each rate is p.lam times its weight.
+    each rate is p.lam times its weight:
+
+        w0 = delta * x * y
+        w1 = (1 - delta) * x * y
+        w2 = theta1 * y * (y - 1) / 2
+        w3 = theta2 * y * (y - 1) + gamma * y * (n + 1 - x - y)
 
     Works element-wise on numpy arrays as well as on scalars.  All four
     are zero iff y = 0 (the absorbing states).  The exact oracle calls it
-    on scalars and the simulation kernel on int64 arrays; its operation
-    order fixes both outputs to the bit.
+    on int64 arrays and the simulation kernel, through rate_weights_fn, on
+    float64 ones; its operation order, left to right as written above,
+    fixes both outputs to the bit.
     """
-    d, g = p.delta, p.gamma
-    return (
-        d * x * y,
-        (1.0 - d) * x * y,
-        p.theta1 * y * (y - 1) / 2.0,
-        p.theta2 * y * (y - 1) + g * y * (n + 1 - x - y),
-    )
+    return rate_weights_fn(n, p)(x, y)
+
+
+def rate_weights_fn(n: int, p: ModelParams):
+    """rate_weights at population n under p, as weights(x, y, out=None)
+    with the coefficients converted to float64 once, for a caller that
+    evaluates it at many states.  out, if given, is six float64 arrays
+    shaped like x: the weights are written into the first four, and the
+    last two are overwritten as scratch."""
+    # 0-d arrays: numpy converts a Python float anew on every call
+    d, d1, t1, t2, g, top, one, two = (np.array(v, float) for v in (
+        p.delta, 1.0 - p.delta, p.theta1, p.theta2, p.gamma, n + 1, 1.0, 2.0))
+    mul, sub = np.multiply, np.subtract
+
+    def weights(x, y, out=(None,) * 6):
+        o0, o1, o2, o3, s, r = out
+        ym1 = sub(y, one, out=s)
+        w0 = mul(mul(d, x, out=o0), y, out=o0)
+        w1 = mul(mul(d1, x, out=o1), y, out=o1)
+        w2 = np.divide(mul(mul(t1, y, out=o2), ym1, out=o2), two, out=o2)
+        w3 = mul(mul(t2, y, out=o3), ym1, out=o3)
+        # y - 1 is read for the last time: its buffer takes n + 1 - x - y
+        rest = sub(sub(top, x, out=s), y, out=s)
+        return w0, w1, w2, np.add(w3, mul(mul(g, y, out=r), rest, out=r), out=o3)
+
+    return weights
 
 
 # --------------------------------------------------------------------------

@@ -28,7 +28,11 @@ The kernel is a numpy lockstep walk: each step advances every live
 replication of a chunk by one jump, with weights from model.rate_weights,
 so each path is bit-identical to a one-row-at-a-time walk.  Holding times
 use math.log1p element by element, because numpy's vectorised log1p
-rounds differently in a few percent of draws.
+rounds differently in a few percent of draws.  A jump-chain step makes
+about 30 numpy calls, each writing into buffers allocated once per chunk,
+so numpy's fixed cost per call, not arithmetic, sets its price however
+few rows are live (see _chunk_kernel).  A replication at N = 10^4 takes
+about 2 ms.
 
 For small populations an exact final-state distribution is available by
 propagating probability mass through the jump-chain DAG.
@@ -47,7 +51,7 @@ import numpy as np
 from rumour.clt import CovMatrix2
 from rumour.errors import TooLarge
 from rumour.limits import LimitResult
-from rumour.model import ModelParams, rate_weights
+from rumour.model import ModelParams, rate_weights, rate_weights_fn
 
 # There is no jitted backend; the name stays for callers that report one.
 HAVE_NUMBA = False
@@ -67,6 +71,16 @@ _BLOCK = 1024
 EXACT_N_MAX = 60
 
 
+# The change in y under move k = a + b + c (see _chunk_kernel).
+_DY = np.array([-1.0, -2.0, 0.0, 1.0])
+
+
+def _column(block, col, pos, out):
+    """Column col of block at the rows pos, gathered into out, or a view
+    of the whole column if pos is None."""
+    return block[:, col] if pos is None else block[:, col].take(pos, out=out, mode="clip")
+
+
 def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
     """Walk rows replications to absorption in lockstep; row r's j-th jump
     reads column j of its uniforms.  At step 0 and every _BLOCK steps
@@ -74,53 +88,85 @@ def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
     blocks for the rows live (increasing), one block row per live row,
     from column step on; holding is None in jump-chain mode.  Returns
     per-row final x, final u, jumps and absorption times (None in
-    jump-chain mode)."""
+    jump-chain mode).
+
+    Each step's cost is mostly numpy's fixed cost per call, so the step
+    is written for few calls: ufuncs write into buffers sliced to the live
+    rows, the model's coefficients are 0-d arrays, the thresholds are
+    summed in place, the move is one int8 number, and a column of
+    uniforms is a view until a row of its block absorbs.  A jump-chain
+    step takes about 15-25 us at N = 10^4 with 209 rows and 12-22 us with
+    4 (2-core VM whose speed drifts by a third between runs, Python 3.11,
+    numpy 2.4)."""
     out_x = np.empty(rows, np.int64)
     out_u = np.empty(rows, np.int64)
     out_j = np.empty(rows, np.int64)
     out_t = np.zeros(rows)
     live = np.arange(rows)
     # float64 counts: rate_weights gives the same bits as on int64 and
-    # runs faster
+    # runs faster.  rec counts the w0 moves, the ignorants recruited as
+    # spreaders; every other ignorant informed became uninterested, so
+    # u = n - x - rec.
     x = np.full(rows, float(n))
-    u = np.zeros(rows)
+    rec = np.zeros(rows)
     y = np.ones(rows)
     t = np.zeros(rows)
+    weights = rate_weights_fn(n, params)
+    lam = np.array(params.lam)
+    # Every step writes into these, sliced to the live rows when they change.
+    floats, flags, moves = np.empty((9, rows)), np.empty((3, rows), bool), np.empty(rows, np.int8)
+
+    def buffers(size):
+        *scratch, v, h, dy = floats[:, :size]
+        # the flags' bytes read as int8 0/1, so k sums them without a cast
+        return scratch, v, h, dy, flags[:, :size], flags[:, :size].view(np.int8), moves[:size]
+
+    scratch, v, h, dy, (a, b, c), (a8, b8, c8), k = buffers(rows)
     step = 0
     hold = None
     while live.size:
         col = step % _BLOCK
         if not col:
             sel, hold = read(live, step)
-            pos = np.arange(live.size)  # each live row's row in the blocks
-        w0, w1, w2, w3 = rate_weights(x, y, n, params)
-        # Running sums, added in the order w0 + w1 + w2 + w3 evaluates.
-        c1 = w0 + w1
-        c2 = c1 + w2
-        wsum = c2 + w3
+            pos = None  # the live rows are the blocks' rows until one absorbs
+        w0, c1, c2, wsum = weights(x, y, out=scratch)
+        # Running sums in place, added in the order ((w0 + w1) + w2) + w3
+        # evaluates.
+        c1 += w0
+        c2 += c1
+        wsum += c2
         if hold is not None:
             # math.log1p, not np.log1p: numpy's SIMD log1p rounds
             # differently in about 7 % of draws, moving times by an ulp.
-            logs = list(map(math.log1p, (-hold[pos, col]).tolist()))
-            t -= np.array(logs) / (params.lam * wsum)
-        v = sel[pos, col] * wsum
+            np.negative(_column(hold, col, pos, h), out=h)
+            logs = np.fromiter(map(math.log1p, h.tolist()), float, live.size)
+            t -= np.divide(logs, np.multiply(lam, wsum, out=h), out=logs)
+        np.multiply(_column(sel, col, pos, v), wsum, out=v)
         step += 1
-        # Nondecreasing thresholds: a implies b implies c.  The move is
-        # (x-1, y+1) on a, (x-1, u+1) on b ^ a, y-2 on c ^ b, y-1 on ~c.
-        a, b, c = v < w0, v < c1, v < c2
+        # Nondecreasing thresholds: a implies b implies c, so k = a + b + c
+        # is 3 on a, (x-1, y+1); 2 on b ^ a, (x-1, u+1); 1 on c ^ b, y-2;
+        # and 0 on ~c, y-1.
+        np.less(v, w0, out=a)
+        np.less(v, c1, out=b)
+        np.less(v, c2, out=c)
+        np.add(a8, b8, out=k)
+        k += c8
         x -= b
-        u += b ^ a
-        y += a
-        y -= (c ^ b) * 2 + ~c
-        done = y == 0
-        if done.any():
+        rec += a
+        y += _DY.take(k, out=dy, mode="clip")
+        if np.count_nonzero(y) < live.size:
+            done = y == 0
             gone = live[done]
             out_x[gone] = x[done]
-            out_u[gone] = u[done]
+            out_u[gone] = n - x[done] - rec[done]
             out_j[gone] = step
             out_t[gone] = t[done]
             keep = ~done
-            live, pos, x, u, y, t = live[keep], pos[keep], x[keep], u[keep], y[keep], t[keep]
+            if pos is None:
+                pos = np.arange(live.size)  # each live row's row in the blocks
+            live, pos, x, rec, y, t = (
+                live[keep], pos[keep], x[keep], rec[keep], y[keep], t[keep])
+            scratch, v, h, dy, (a, b, c), (a8, b8, c8), k = buffers(live.size)
     return out_x, out_u, out_j, out_t if hold is not None else None
 
 

@@ -376,12 +376,42 @@ class TestUnreadValues:
         assert "--alpha" in err and "'rpes'" in err and str(cfg) in err, err
 
 
-def test_import_loads_no_scipy():
-    # scipy.integrate is most of a CLI start; only clt --cross-check uses it
+def fresh_python(*args):
+    """Run a fresh interpreter that imports rumour from this checkout."""
     src = os.path.dirname(os.path.dirname(simulate.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def test_import_loads_no_scipy():
+    # scipy.integrate is most of a CLI start; only clt --cross-check uses it
     code = "import sys, rumour.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    run = fresh_python("-c", code)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+
+
+def test_parser_built_once_keeps_no_state(capsys, tmp_path):
+    # main parses with one parser per process; calls that differ in their
+    # flags, one after another, must each print what the same argv prints
+    # in a fresh process, and write a dump only when asked to
+    dump = tmp_path / "finals.csv"
+    sim = ["simulate", "--preset", "dk", "--n", "20", "--reps", "30", "--seed", "5"]
+    oracle = ["oracle", "--preset", "mt", "--n", "6"]
+    calls = [sim + ["--dump", str(dump)], sim, oracle + ["--format", "csv"], oracle,
+             oracle + ["--format", "xml"], oracle]
+    codes = []
+    for argv in calls:
+        dump.unlink(missing_ok=True)
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse's usage errors
+            code = e.code
+        captured = capsys.readouterr()
+        assert dump.exists() == ("--dump" in argv), argv
+        fresh = fresh_python("-m", "rumour.cli", *argv)
+        assert (code, captured.out, captured.err) == (
+            fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes.append(code)
+    assert codes == [0, 0, 0, 0, 2, 0]

@@ -15,6 +15,13 @@ weight, so a second check sees every step's total on its own: along paths
 drawn from the chain's own law, one kernel row per step whose holding
 uniforms are zero except at that step.
 
+Midpoints cannot see a one-ulp change in a threshold, so a third check
+puts the selection uniforms on the edges of the chosen move's interval:
+u * wsum rounds to the threshold below the move, which the move must
+own, or to the float just under the threshold above it.  A threshold
+one ulp too high then loses the first kind of step to the move below,
+and one ulp too low loses the second kind to the move above.
+
 The kernel reads its uniforms in column blocks, every one through the
 same reader.  Every case runs at the default block width and again at
 widths 3 and 7, so later reads fall in the middle of paths, and must give
@@ -23,6 +30,7 @@ whole-matrix draw it replaces, writing every block into one reused
 buffer.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -30,7 +38,7 @@ import pytest
 
 from conftest import random_params, rng_for
 from rumour import simulate
-from rumour.model import preset_params, rate_weights
+from rumour.model import ModelParams, preset_params, rate_weights
 from rumour.simulate import _chunk_kernel, _philox_rows
 
 BLOCKS = (simulate._BLOCK, 3, 7)
@@ -158,6 +166,78 @@ def test_kernel_total_weight_per_step():
             want = [holding_time(p, h, w) for h, w in zip(u_hold, wsums)]
             bad = [k for k in range(steps) if ts[k] != want[k]]
             assert not bad, (name, n, bad[:5])
+
+
+def uniform_on(target, wsum):
+    """A uniform u in [0, 1) with u * wsum == target in float arithmetic,
+    searched within four ulps of target / wsum, or None if there is none."""
+    lo = hi = target / wsum
+    near = [lo]
+    for _ in range(4):
+        lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, 1.0)
+        near += [lo, hi]
+    return next((u for u in near if 0.0 <= u < 1.0 and u * wsum == target), None)
+
+
+def edge_walk(n, p, rng):
+    """A path drawn from the chain's law whose selection uniforms sit on an
+    edge of the chosen move's interval wherever uniform_on finds one: on
+    the threshold below the move, or on the float just under the threshold
+    above it.  Steps with neither take the interval's midpoint.  Returns
+    walk's five results, then the number of steps on an edge and the
+    largest y on the path."""
+    x, u, y = n, 0, 1
+    u_sel, u_hold, wsums, on_edge, top_y = [], [], [], 0, 1
+    while y > 0:
+        w = [float(v) for v in rate_weights(x, y, n, p)]
+        wsum = w[0] + w[1] + w[2] + w[3]
+        bounds = (0.0, w[0], w[0] + w[1], w[0] + w[1] + w[2], wsum)
+        k = int(rng.choice(4, p=np.array(w) / wsum))
+        edges = [bounds[k]] if k > 0 else []
+        if k < 3:
+            edges.append(math.nextafter(bounds[k + 1], 0.0))
+        rng.shuffle(edges)
+        found = [s for s in (uniform_on(e, wsum) for e in edges) if s is not None]
+        on_edge += bool(found)
+        sel = found[0] if found else 0.5 * (bounds[k] + bounds[k + 1]) / wsum
+        assert bounds[k] <= sel * wsum < bounds[k + 1]
+        u_sel.append(sel)
+        u_hold.append(float(rng.uniform(0.0, 1.0)))
+        wsums.append(wsum)
+        dx, du, dy = MOVES[k]
+        x, u, y = x + dx, u + du, y + dy
+        top_y = max(top_y, y)
+    return u_sel, u_hold, wsums, x, u, on_edge, top_y
+
+
+def edge_cases():
+    """(name, params, n, least peak of y the path must reach)."""
+    # a low stifling rate lets the spreaders reach the thousands
+    slow = ModelParams(lam=1.3, gamma=0.05, theta1=0.05, theta2=0.0, delta=1.0)
+    slow_u = ModelParams(lam=0.7, gamma=0.05, theta1=0.03, theta2=0.04, delta=0.6)
+    big = [("dk", preset_params("dk"), 2000, 300), ("hayes", preset_params("hayes"), 2000, 200),
+           ("apq_dk", preset_params("apq_dk", alpha=1.0, p=1.0, q=0.5), 2000, 100),
+           ("slow", slow, 3000, 1000), ("slow-delta", slow_u, 3000, 1000)]
+    return big + [(name, p, 34, 1) for name, p in parameter_cases()]
+
+
+@functools.cache
+def edge_paths():
+    """edge_walk over edge_cases, drawn once for both modes."""
+    rng = rng_for("kernel-contract-edges")
+    return [(name, p, n, least_top_y, edge_walk(n, p, rng))
+            for name, p, n, least_top_y in edge_cases()]
+
+
+@pytest.mark.parametrize("want_time", [False, True], ids=["jump-chain", "exact-time"])
+def test_kernel_thresholds_to_the_last_bit(want_time):
+    for name, p, n, least_top_y, path in edge_paths():
+        u_sel, u_hold, wsums, x, u, on_edge, top_y = path
+        assert top_y >= least_top_y, (name, top_y)
+        assert on_edge >= 0.5 * len(u_sel), (name, on_edge, len(u_sel))
+        xs, us, js, ts = run_kernel(n, p, [u_sel], [u_hold], want_time)
+        assert (xs[0], us[0], js[0]) == (x, u, len(u_sel)), name
+        assert ts == ([path_time(p, u_hold, wsums)] if want_time else None), name
 
 
 @pytest.mark.parametrize("block", BLOCKS)
