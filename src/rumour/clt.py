@@ -18,23 +18,14 @@ with the closed forms and is the module's correctness oracle.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from rumour.errors import IntegrationFailure
-from rumour.limits import LimitResult, _target
+from rumour.limits import LimitResult, _q, _target
 from rumour.model import ModelParams
-
-log = logging.getLogger(__name__)
-
-# |theta - 1/2| at or below this uses the dedicated theta = 1/2 expression
-# for D; between this and _HALF_WARN the (2 theta - 1) cancellation starts
-# to cost digits and a warning is logged.
-HALF_BRANCH_EPS = 1e-7
-_HALF_WARN = 1e-4
 
 
 @dataclass(frozen=True)
@@ -78,8 +69,17 @@ def clt_constants(p: ModelParams, lim: LimitResult) -> CltConstants:
     """Evaluate kappa, A, B, C and D.
 
     A's denominator gamma - (gamma+delta)*x_inf is positive because
-    x_inf < gamma/(gamma+delta).  D switches to a dedicated logarithmic
-    expression at theta = 1/2, where the generic formula degenerates.
+    x_inf < gamma/(gamma+delta).  With x = x_inf, g = gamma, d = delta,
+    t = theta and q as in limits (q(0) = log x, q(1) = -(1 - x)), D is one
+    formula for every theta in [0, 1]:
+
+        D = 2*(kappa*(g+d) - d) * x**(2t) * q(1 - 2t) + R / (2*(g + d*t)**2),
+        R = kappa*(g+d)*(1 - x)*((g+d)*(g + 2t*(g+d))*x + g*(d + (3 - 2t)*g)).
+
+    This is C*(1 - x)/(2*(2t - 1)*(g + d*t)**2) with 2t - 1 divided out.
+    On the root x**t = (g*(1 - t) + (g+d)*t*x)/(g + d*t), so
+    C*(1 - x) = 4*(d - kappa*(g+d))*(g + d*t)**2*(x - x**(2t)) + (2t - 1)*R,
+    and x - x**(2t) = -(2t - 1)*x**(2t)*q(1 - 2t).
     """
     g, d = p.gamma, p.delta
     th = p.theta
@@ -92,23 +92,10 @@ def clt_constants(p: ModelParams, lim: LimitResult) -> CltConstants:
         + kappa * g * (g + d) * (g + d * (2.0 * th - 1.0))
         - 4.0 * d * g * g * (1.0 - th) ** 2
     )
-    gap = abs(th - 0.5)
-    if gap <= HALF_BRANCH_EPS:
-        dd = (
-            2.0
-            * g
-            * (
-                kappa * d * (2.0 * g + d)
-                - 2.0 * g * (d - kappa * (g + d)) * math.log(g / (g + d))
-            )
-            / (g + d) ** 2
-        )
-    else:
-        if gap < _HALF_WARN:
-            log.warning(
-                "theta = %s is close to 1/2; the generic D loses accuracy there", th
-            )
-        dd = c * (1.0 - x) / (2.0 * (2.0 * th - 1.0) * (g + d * th) ** 2)
+    r = kappa * (g + d) * (1.0 - x) * ((g + d) * (g + 2.0 * th * (g + d)) * x
+                                       + g * (d + (3.0 - 2.0 * th) * g))
+    dd = (2.0 * (kappa * (g + d) - d) * x ** (2.0 * th) * _q(1.0 - 2.0 * th, x, math.log(x))
+          + r / (2.0 * (g + d * th) ** 2))
     return CltConstants(kappa=kappa, a=a, b=b, c=c, d=dd)
 
 

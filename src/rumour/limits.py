@@ -192,8 +192,10 @@ def _halley(z: float, w: float) -> tuple[float, int]:
     return w, 60
 
 
-def _lambert_w(z: float, branch: int) -> tuple[float, int]:
-    """(W(z), Halley steps) on the real branch 0 (W0) or -1 (W-1)."""
+def _lambert_w(z: float, branch: int, p2: float | None = None) -> tuple[float, int]:
+    """(W(z), Halley steps) on the real branch 0 (W0) or -1 (W-1).  p2, if
+    given, is 2*(1 + e*z) computed without z, whose own rounding error
+    would otherwise decide the digits next to the branch point."""
     if branch == 0:
         if math.isnan(z) or z < _BRANCH_POINT:
             raise DomainError(f"W0 needs z >= -1/e, got {z!r}")
@@ -201,13 +203,12 @@ def _lambert_w(z: float, branch: int) -> tuple[float, int]:
             return 0.0, 0
     elif math.isnan(z) or z < _BRANCH_POINT or z >= 0.0:
         raise DomainError(f"W-1 needs -1/e <= z < 0, got {z!r}")
-    if z == _BRANCH_POINT:
+    if (z == _BRANCH_POINT) if p2 is None else (p2 == 0.0):
         return -1.0, 0
     if z < 0.25 * _BRANCH_POINT:
         # series about the branch point: w = -1 + p - p^2/3 + 11 p^3/72
-        p2 = 2.0 * (1.0 + math.e * z)
-        if p2 < 0.0:  # float rounding just below the branch point
-            p2 = 0.0
+        if p2 is None:  # clamp float rounding just below the branch point
+            p2 = max(2.0 * (1.0 + math.e * z), 0.0)
         p = math.sqrt(p2) if branch == 0 else -math.sqrt(p2)
         w = -1.0 + p * (1.0 - p * (1.0 / 3.0 - p * (11.0 / 72.0)))
         if p2 <= 1e-8:
@@ -246,14 +247,19 @@ def x_infinity_closed_form(p: ModelParams) -> LimitResult:
     th = p.theta
     b = theta_branch(th)
     h = 1.0 + d / g
-    if b is not None and not math.isfinite(h):
-        raise _underflow(p)  # x < 1/h lies below the float range
+    if b is not None:
+        if not math.isfinite(h):
+            raise _underflow(p)  # x < 1/h lies below the float range
+        # 2*(1 + e*z) = 2*(1 - (1 + s)*exp(-s)), by its series where that cancels
+        s = d / g if b == 0 else -d / (g + d)
+        p2 = 2.0 * (s * s * (0.5 - s * (1.0 / 3.0 - s * (0.125 - s / 30.0))) if abs(s) <= 1e-3
+                    else 1.0 - (1.0 + s) * math.exp(-s))
     if b == 0:
-        w, iters = _lambert_w(-h * math.exp(-h), 0)
+        w, iters = _lambert_w(-h * math.exp(-h), 0, p2)
         x = -w / h
         method = "lambert-w"
     elif b == 1:
-        w, iters = _lambert_w(-math.exp(-1.0 / h) / h, -1)
+        w, iters = _lambert_w(-math.exp(-1.0 / h) / h, -1, p2)
         x = -1.0 / (h * w)
         method = "lambert-w"
     elif abs(th - 0.5) <= THETA_EPS:

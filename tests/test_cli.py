@@ -80,6 +80,13 @@ class TestClt:
         obj = run_json(capsys, "clt", "--preset", "mt", "--cross-check")
         assert obj["cross_check"]["max_abs_deviation"] <= 1e-6
 
+    def test_no_stderr_next_to_half(self):
+        # one formula for D at every theta: nothing to warn about next to 1/2
+        run = fresh_python("-m", "rumour.cli", "clt", "--lambda", "1", "--gamma", "1",
+                           "--theta1", "1.49999", "--theta2", "0", "--delta", "0.6")
+        assert (run.returncode, run.stderr) == (0, "")
+        assert json.loads(run.stdout)["D"] > 0.0
+
     def test_t_inf_reported(self, capsys):
         obj = run_json(capsys, "clt", "--preset", "rho", "--rho", "0")
         assert abs(obj["t_inf"] - 1.5936242600400399) <= 1e-9

@@ -195,15 +195,46 @@ class TestPsdAndHalfBranch:
             assert s.s22 >= -1e-12 * scale
             assert s.s11 * s.s22 - s.s12 * s.s12 >= -1e-9 * scale * scale
 
+    # (gamma, delta, theta1 - gamma) -> D, for theta1 = gamma + theta and
+    # theta2 = 0.  Each value is C*(1 - x)/(2*(2 theta - 1)*(gamma +
+    # delta*theta)**2) in mpmath at 60 digits, at the 60-digit root and at
+    # the float theta and kappa that clt_constants sees, where the
+    # cancellation in 2 theta - 1 does no harm; at theta = 1/2 it is
+    # 2g(kappa*d*(2g + d) - 2g*(d - kappa*(g + d))*log(g/(g + d)))/(g + d)**2.
+    D_60_DIGITS = {
+        (1.0, 1.0, 0.49999995): 0.7500000329441553,
+        (1.0, 1.0, 0.4999998): 0.7500001317766366,
+        (1.0, 1.0, 0.49999): 0.7500065888803029,
+        (1.0, 1.0, 0.5): 0.75,
+        (1.0, 1.0, 0.500001): 0.7499993411174113,
+        (0.8, 0.5, 0.49999995): 0.39432604743480215,
+        (0.8, 0.5, 0.4999998): 0.3943260893447873,
+        (0.8, 0.5, 0.49999): 0.39432882748014964,
+        (0.8, 0.5, 0.5): 0.39432603346480877,
+        (0.8, 0.5, 0.500001): 0.39432575406511683,
+        (2.0, 0.3, 0.49999995): 0.12523196047653817,
+        (2.0, 0.3, 0.4999998): 0.125231964909736,
+        (2.0, 0.3, 0.49999): 0.1252322545458878,
+        (2.0, 0.3, 0.5): 0.12523195899880563,
+        (2.0, 0.3, 0.500001): 0.12523192944416056,
+        (0.8, 0.5, 0.0): 0.5919638342012972,
+        (0.8, 0.5, 0.25): 0.4763396806941099,
+        (0.8, 0.5, 0.75): 0.3336506469423396,
+        (0.8, 0.5, 1.0): 0.28726536351640936,
+    }
+
     def test_half_branch_continuity(self):
-        # generic-D evaluation a hair away from 1/2 against the dedicated branch
+        def mk(gamma, delta, th):
+            return ModelParams(lam=1.0, gamma=gamma, theta1=gamma + th, theta2=0.0, delta=delta)
+
+        for (gamma, delta, th), ref in self.D_60_DIGITS.items():
+            consts, _, _ = full_sigma(mk(gamma, delta, th))
+            assert abs(consts.d - ref) <= 1e-14 * ref, (gamma, delta, th)
+        # Sigma a hair away from 1/2 against Sigma at 1/2
         for gamma, delta in ((1.0, 1.0), (0.8, 0.5), (2.0, 0.3)):
-            mk = lambda th: ModelParams(
-                lam=1.0, gamma=gamma, theta1=gamma + th, theta2=0.0, delta=delta
-            )
-            _, _, ref = full_sigma(mk(0.5))
+            _, _, ref = full_sigma(mk(gamma, delta, 0.5))
             for th in (0.5 - 1e-7, 0.5 + 1e-7):
-                _, _, s = full_sigma(mk(th))
+                _, _, s = full_sigma(mk(gamma, delta, th))
                 for a, b in ((s.s11, ref.s11), (s.s12, ref.s12), (s.s22, ref.s22)):
                     assert abs(a - b) <= 1e-4 * max(1.0, abs(b))
 

@@ -95,67 +95,66 @@ def run_case(argv, tmp_dir):
     return code, digests
 
 
-# Last re-recorded when one final-size function f replaced the three
-# theta branches: at interior theta (the apq_dk, kawachi and explicit
-# points) the limit, clt, fluid and output-file cases print x_inf or a
-# value derived from it, and x_inf moved in its last bits, toward the true
-# root; no case at theta in {0, 1} and no oracle, simulate, verify or
-# presets digest changed.  A change of any digest must be deliberate and
-# noted in CHANGES.md.
+# Last re-recorded when one formula for the CLT constant D replaced the
+# generic formula and the theta = 1/2 branch: D moved in its last bits, so
+# every clt and clt-cross case but DK's (whose D kept its bits), the
+# output-file case (clt) and verify-mt (which prints Sigma) changed; no
+# limit, fluid, oracle, simulate or presets digest changed.  A change of
+# any digest must be deliberate and noted in CHANGES.md.
 GOLDEN = {
     'clt-apq_dk': (0, [
-        'cf6ffcbc4e302ed6bafc0dc352f3d95408ff4e096ebb45923e9e7cbc32816b1c',
+        'cdeb6098f37f763f203a30efcf3bed919055d430316da05880037af90d277a73',
     ]),
     'clt-apq_mt': (0, [
-        'a32f4a5882651539cc485562d2c085724d3641241db6ae6e7bf351e28e0aedd8',
+        'ebc006ce8b861063c4a185fb690d1710ad550899387ace0b7facc2c63cbba1e0',
     ]),
     'clt-cross-apq_dk': (0, [
-        '7eaba5215bec05969e8765c184c22a1f15829261039b8d4b334a4dd0fa53e024',
+        'd4cdb696ccdbbf8f60974ff9d126cd80c40f4faa711efdd6d90e79d5f2d9caa1',
     ]),
     'clt-cross-apq_mt': (0, [
-        'c9062dbae2b0a2a8c50aff4550c073f94da574cea38be5c3568b5dc5c8003331',
+        '60e174239387243346972a1cb9192afead65e7b3bde1d256c0a899dacc9548ed',
     ]),
     'clt-cross-dk': (0, [
         '1c0f852aba54bf2371f063e92601c80c4c37ecdd8c010adabb6d3e210a81b8e7',
     ]),
     'clt-cross-explicit': (0, [
-        '8ae60b442b4a39ebef304d973a7bff6d60e7b8b5e3fc043cb173d0adf22d4f15',
+        '0a00733b7a37e97bd434c20fee8be982648faf326777f284143d7d4b4b2fbe7f',
     ]),
     'clt-cross-hayes': (0, [
-        'e333daf3694ca7a361fe71110651e1674ae3959dbc0d5d2c53a2b85531578c71',
+        '75e587b962afbf1a4aaf464a290db35d18ee3a396d8664db7fa0d9a6d56f3163',
     ]),
     'clt-cross-kawachi': (0, [
-        '2316ba7dd78ad9bc85e4209d4b75d1449d8187055c0a7268a0d3cace85b01bf3',
+        '048c38f2292236a45377b7cff739acdc1942b7bf6bc8778b0e6f68711b0d0dc8',
     ]),
     'clt-cross-mt': (0, [
-        'e2c74a648c153210831de2417faf039a544c59a014a5a9baf45edf3751b96474',
+        'da3db201250649a0221aa4850192d3e064b4dde599778acc63cf08cb3a060d8a',
     ]),
     'clt-cross-pearce': (0, [
-        'd708ecd2d0622d2f96a25cc19e90d365cd63ac9b96b1e28260fac151509eeaee',
+        '4a325322ff6d30182a14b82d70dc616e4206e833c707704fb3bc747811e37a3c',
     ]),
     'clt-cross-rho': (0, [
-        'abf1bb0944812a4c43bdfc385be4a2e03f4dd52d0342cfc90b1bae1a49b774d7',
+        'd9f1ed59d8602b8430f11052686a56087cdc108c0578a863eca8742cc7191a9a',
     ]),
     'clt-dk': (0, [
         '373c5f834034b210aa849458091187d55718fa9dfd01c1a9f4081839bdc9e405',
     ]),
     'clt-explicit': (0, [
-        '3e710d8dbbf20a0df0612031b10aef10b39cc8afd45b9efb34c27240aa56c590',
+        '40825a9effab56bc8c9a0c82e6dbdc985f7370e0c6a0c8b08c97dafd402b8466',
     ]),
     'clt-hayes': (0, [
-        '5462203cda17d16aeefc9a3a4e12ed583906d10cf19a463d671ad159eaab1460',
+        'df4782d06143a638d01591754e04741e0361e9ddbca1973d9b97a3dba6bc70cd',
     ]),
     'clt-kawachi': (0, [
-        'c8f4bc05817beb51d77d5b89b027431e0c9c4f0f2233739f9b8aebf9745ab999',
+        '270c7b5dc9f5f85956a765f79f623a31e57c28792a4b6a6b77a5e6c83cb7d1ca',
     ]),
     'clt-mt': (0, [
-        'b05f09ee05dcf48e182a2601615866aeacd2eb4a5fd8071b699c0594fbf8414f',
+        'e7dc1249a964c04c09c0699667b4aa8c86b4d1508c0650ca31da50fe53c709e0',
     ]),
     'clt-pearce': (0, [
-        '98a65b7eed732ab4ad0f3d9ed0ac30a05e334d177e0993713d6ef2d342d405f1',
+        '19d7cd4fddc266c0db32c332d40244509abc15c186638900ce37523a3b1a1752',
     ]),
     'clt-rho': (0, [
-        'ee9ceb79481143f6b628db883b7a3256026268865b21278466e56a90d879ed40',
+        'ee6666a257a1a78ea485b637f27612da897196ff6b5066b894e02815c1b05599',
     ]),
     'fluid-csv-apq_dk': (0, [
         '9a9f202dae63b9f61d15be403824a75c14c532415cb5ca57d86c61a05cd6e971',
@@ -309,7 +308,7 @@ GOLDEN = {
     ]),
     'output-file': (0, [
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        '3e710d8dbbf20a0df0612031b10aef10b39cc8afd45b9efb34c27240aa56c590',
+        '40825a9effab56bc8c9a0c82e6dbdc985f7370e0c6a0c8b08c97dafd402b8466',
     ]),
     'presets': (0, [
         'bf58289067ed2b4d8052c877cf39b4afe37c181870d474ae9a599104529a755f',
@@ -343,7 +342,7 @@ GOLDEN = {
         '0eaba381f12e4bf3865aa35e0c9b9e9ca4d42d8925a05fddc29f72ba65dc2e42',
     ]),
     'verify-mt': (0, [
-        'd98475a7d41f1baaa4c726db828ad536031234f845856f90e6c0233e98190728',
+        '6ee153a12189424711ecbbb2422f2fef4741faec871a78afee2b385f31444316',
     ]),
 }
 

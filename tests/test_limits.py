@@ -210,8 +210,10 @@ class TestSolver:
                 a = m
             else:
                 b = m
-        x = solve_x_infinity(params_theta(gamma=g, delta=delta, theta=theta)).x_inf
-        assert abs((1.0 - x) - a) <= 1e-7 * a
+        p = params_theta(gamma=g, delta=delta, theta=theta)
+        for solve in (solve_x_infinity, x_infinity_closed_form):
+            x = solve(p).x_inf
+            assert abs((1.0 - x) - a) <= 1e-7 * a, solve.__name__
 
     @pytest.mark.parametrize("delta", [1e-8, 1e-9, 1e-10])
     def test_interior_root_near_one_relative_to_distance(self, delta):
