@@ -171,6 +171,55 @@ def t_infinity(p: ModelParams, lim: LimitResult) -> float:
 ODE_RTOL = 1e-9
 ODE_ATOL = 1e-12
 
+# Dormand-Prince 5(4) pair (Dormand & Prince, J. Comput. Appl. Math. 6,
+# 1980): the nodes of stages 2..7, the rows of stages 2..7 (the last row is
+# the fifth-order solution, so stage 7 is the next step's stage 1), and the
+# fifth- minus fourth-order weights.
+_DP_C = (0.2, 0.3, 0.8, 8.0 / 9.0, 1.0, 1.0)
+_DP_A = np.array([
+    [1 / 5, 0, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0],
+    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+])
+_DP_E = np.array([71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+
+
+def _dopri5(rhs, y: np.ndarray, tf: float, h: float) -> np.ndarray:
+    """y(tf) for y' = rhs(t, y) from y(0) = y, by the adaptive
+    Dormand-Prince 5(4) pair with h as the first trial step.
+
+    A step is accepted when the root mean square of its embedded error
+    estimate, each component divided by ODE_ATOL + ODE_RTOL*max(|y|,
+    |y_new|), is at most 1.  Either way the next trial step is
+    h*0.9*err**(-1/5), the factor clipped to [0.2, 10], and no step passes
+    tf, so the last one lands on it.  Raises IntegrationFailure on a
+    non-finite error norm or after 10**5 trial steps.
+    """
+    k = np.empty((7, y.size))
+    k[0] = rhs(0.0, y)
+    stages = [(c, a[: i + 1], k[: i + 1], k[i + 1]) for i, (c, a) in enumerate(zip(_DP_C, _DP_A))]
+    t = 0.0
+    for _ in range(100_000):
+        last = h >= tf - t
+        if last:
+            h = tf - t
+        for c, a, ks, k_next in stages:
+            y_new = y + h * (a @ ks)
+            k_next[:] = rhs(t + c * h, y_new)
+        scale = ODE_ATOL + ODE_RTOL * np.maximum(np.abs(y), np.abs(y_new))
+        err = math.sqrt(np.mean(np.square(h * (_DP_E @ k) / scale)))
+        if not math.isfinite(err):
+            raise IntegrationFailure(f"non-finite error estimate at t = {t!r}")
+        if err <= 1.0:
+            if last:
+                return y_new
+            t, y, k[0] = t + h, y_new, k[6]
+        h *= min(10.0, max(0.2, 0.9 * err**-0.2)) if err > 0.0 else 10.0
+    raise IntegrationFailure(f"no step to t = {tf!r} met the tolerance in 10**5 trials")
+
 
 def numerical_lambda_via_ode(p: ModelParams, lim: LimitResult) -> np.ndarray:
     """Integrate the Lyapunov equation for Lambda from 0 to t_inf.
@@ -180,10 +229,6 @@ def numerical_lambda_via_ode(p: ModelParams, lim: LimitResult) -> np.ndarray:
     independent check of the closed-form constants (notably C, D and the
     kappa bookkeeping).
     """
-    # imported here: scipy.integrate costs most of a CLI start, and only
-    # this function needs it
-    from scipy.integrate import solve_ivp
-
     g, d, la = p.gamma, p.delta, p.lam
     th = p.theta
     kappa = 3.0 * p.theta1 + 2.0 * p.theta2 - 4.0 * g
@@ -197,25 +242,19 @@ def numerical_lambda_via_ode(p: ModelParams, lim: LimitResult) -> np.ndarray:
             [la * (g + d), 0.0, -la * th],
         ]
     )
+    # vec(dF L + L dF') = (dF x I + I x dF) vec(L) for row-major vec
+    lyap = np.kron(dF, np.eye(3)) + np.kron(np.eye(3), dF)
+    # G = [[la x, -la (1-d) x, -la d x], [., la (1-d) x, 0],
+    #      [., 0, la (d-g) x + la (kappa - th + 2g) y + la g]] is gx*x plus
+    # gy*y + gc in its last entry, each sum taken left to right as written
+    gx = np.array([la, -la * (1.0 - d), -la * d, -la * (1.0 - d), la * (1.0 - d), 0.0,
+                   -la * d, 0.0, la * (d - g)])
+    gy, gc = la * (kappa - th + 2.0 * g), la * g
 
     def rhs(t, flat):
-        L = flat.reshape(3, 3)
         x = math.exp(-la * t)
-        y = f(x)
-        G = np.array(
-            [
-                [la * x, -la * (1.0 - d) * x, -la * d * x],
-                [-la * (1.0 - d) * x, la * (1.0 - d) * x, 0.0],
-                [
-                    -la * d * x,
-                    0.0,
-                    la * (d - g) * x + la * (kappa - th + 2.0 * g) * y + la * g,
-                ],
-            ]
-        )
-        return (dF @ L + L @ dF.T + G).ravel()
+        G = gx * x
+        G[8] = G[8] + gy * f(x) + gc
+        return lyap @ flat + G
 
-    sol = solve_ivp(rhs, (0.0, tf), np.zeros(9), method="RK45", rtol=ODE_RTOL, atol=ODE_ATOL)
-    if not sol.success:
-        raise IntegrationFailure(sol.message)
-    return sol.y[:, -1].reshape(3, 3)
+    return _dopri5(rhs, np.zeros(9), tf, tf).reshape(3, 3)

@@ -17,7 +17,8 @@ class NoBracket(RumourError):
     """The float-grid bisection for x_inf has no bracket: f is not negative
     at the smallest normal float (x_inf underflows; gamma small against
     delta) or not positive at its maximiser (delta/gamma below about 1e-15,
-    where x_inf lies within twenty doubles of 1)."""
+    where x_inf lies within twenty doubles of 1).  The closed forms raise
+    it too when x_inf underflows or rounds to 1."""
 
 
 class NotApplicable(RumourError):
@@ -29,4 +30,5 @@ class TooLarge(RumourError):
 
 
 class IntegrationFailure(RumourError):
-    """Adaptive ODE integration could not meet its tolerance."""
+    """Adaptive ODE integration hit a non-finite error estimate or could
+    not meet its tolerance."""

@@ -241,7 +241,8 @@ def x_infinity_closed_form(p: ModelParams) -> LimitResult:
         theta = 1/2  x = (gamma / (gamma + delta))**2
 
     Raises NotApplicable for any other theta, and NoBracket when x lies
-    below the normal float range, as solve_x_infinity does.
+    below the normal float range or rounds to 1 (delta/gamma below about
+    1e-16), as solve_x_infinity does.
     """
     g, d = p.gamma, p.delta
     th = p.theta
@@ -270,6 +271,8 @@ def x_infinity_closed_form(p: ModelParams) -> LimitResult:
         raise NotApplicable(f"no closed form at theta = {th}")
     if not x >= sys.float_info.min:
         raise _underflow(p)
+    if not x < 1.0:
+        raise NoBracket(f"x_inf rounds to 1 for {p}")
     return LimitResult(
         x_inf=x,
         u_inf=u_infinity(d, x),

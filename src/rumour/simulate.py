@@ -366,8 +366,7 @@ class ExactDistribution:
     def support(self) -> Iterator[tuple[tuple[int, int], float]]:
         """The nonzero cells ((x, u), p) in increasing (x, u) order."""
         xs, us = np.nonzero(self.probs)
-        for x, u in zip(xs.tolist(), us.tolist()):
-            yield (x, u), float(self.probs[x, u])
+        return zip(zip(xs.tolist(), us.tolist()), self.probs[xs, us].tolist())
 
     def total_mass(self) -> float:
         return float(self.probs.sum())

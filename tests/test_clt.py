@@ -6,6 +6,9 @@ import pytest
 from conftest import random_params, rng_for
 from oracles import sigma_closed_form
 from rumour.clt import (
+    ODE_ATOL,
+    ODE_RTOL,
+    _dopri5,
     clt_constants,
     fluid_trajectory,
     lambda_matrix,
@@ -14,7 +17,7 @@ from rumour.clt import (
     sigma_matrix,
     t_infinity,
 )
-from rumour.errors import NotApplicable
+from rumour.errors import IntegrationFailure, NotApplicable
 from rumour.limits import LimitResult, solve_x_infinity
 from rumour.model import ModelParams, preset_params
 
@@ -283,15 +286,75 @@ class TestFluidAndTime:
         assert 0.0 < t_infinity(p, near) < 2e-9
 
 
+class TestDormandPrince:
+    # y' = a*y + b, componentwise, decaying, flat and growing
+    A = np.array([-3.0, -1.0, -0.5, -0.1, 0.0, 0.2, 0.5, 1.0, 2.0])
+    B = np.array([1.0, -2.0, 0.5, 3.0, 1.0, -1.0, 0.25, 0.0, 2.0])
+    Y0 = np.array([1.0, 0.0, -1.0, 2.0, 0.0, 1.0, 0.5, -0.5, 0.0])
+    TF = 1.5
+
+    def solve(self, h):
+        times = []
+
+        def rhs(t, y):
+            times.append(t)
+            return self.A * y + self.B
+
+        return _dopri5(rhs, self.Y0.copy(), self.TF, h), times
+
+    def exact(self):
+        growth = np.array([math.expm1(a * self.TF) / a if a else self.TF for a in self.A])
+        return self.Y0 * np.exp(self.A * self.TF) + self.B * growth
+
+    @pytest.mark.parametrize("h", [1e-3, 1e-8])
+    def test_endpoint_matches_exact_solution(self, h):
+        y, _ = self.solve(h)
+        exact = self.exact()
+        assert np.all(np.abs(y - exact) <= 10.0 * (ODE_ATOL + ODE_RTOL * np.abs(exact)))
+
+    def test_stops_exactly_at_tf(self):
+        _, times = self.solve(1e-3)
+        assert max(times) == times[-1] == self.TF
+
+    def test_rejected_first_step(self):
+        # one step over the whole interval misses the tolerance by far, so
+        # the second trial restarts at t = 0 with a smaller step
+        y, times = self.solve(self.TF)
+        assert times[1] == 0.2 * self.TF and times[7] < times[1]
+        exact = self.exact()
+        assert np.all(np.abs(y - exact) <= 10.0 * (ODE_ATOL + ODE_RTOL * np.abs(exact)))
+        assert np.abs(y - self.solve(1e-3)[0]).max() <= 1e-7
+
+    def test_nan_rhs_raises_at_once(self):
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return np.full(9, math.nan)
+
+        with pytest.raises(IntegrationFailure):
+            _dopri5(rhs, np.zeros(9), 1.0, 0.1)
+        assert len(calls) == 7
+
+
+# the presets plus theta in {0, 1/4, 1/2, 3/4, 1} at delta in {1, 0.6}
+ODE_POINTS = [
+    pytest.param(preset_params("mt"), id="mt"),
+    pytest.param(preset_params("apq_dk", alpha=1, p=1, q=0.5), id="11q-dk-q0.5"),
+    pytest.param(preset_params("dk"), id="dk"),
+    pytest.param(preset_params("hayes"), id="hayes"),
+    pytest.param(preset_params("kawachi", alpha=0.5, beta=0.3, gamma=0.5, theta=0.7),
+                 id="kawachi"),
+    pytest.param(preset_params("pearce", p=0.5, q1=0.2, q2=0.3, r=0.4), id="pearce"),
+] + [
+    pytest.param(ModelParams(lam=1.0, gamma=1.0, theta1=1.0 + th, theta2=0.0, delta=d),
+                 id=f"theta{th}-delta{d}")
+    for th in (0.0, 0.25, 0.5, 0.75, 1.0) for d in (1.0, 0.6)
+]
+
+
 class TestOdeCrossCheck:
-    @pytest.mark.parametrize(
-        "p",
-        [
-            preset_params("mt"),
-            preset_params("apq_dk", alpha=1, p=1, q=0.5),
-        ],
-        ids=["mt", "11q-dk-q0.5"],
-    )
+    @pytest.mark.parametrize("p", ODE_POINTS)
     def test_matches_closed_form(self, p):
         lim = solve_x_infinity(p)
         c = clt_constants(p, lim)

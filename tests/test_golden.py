@@ -95,12 +95,11 @@ def run_case(argv, tmp_dir):
     return code, digests
 
 
-# Last re-recorded when one formula for the CLT constant D replaced the
-# generic formula and the theta = 1/2 branch: D moved in its last bits, so
-# every clt and clt-cross case but DK's (whose D kept its bits), the
-# output-file case (clt) and verify-mt (which prints Sigma) changed; no
-# limit, fluid, oracle, simulate or presets digest changed.  A change of
-# any digest must be deliberate and noted in CHANGES.md.
+# Last re-recorded when an in-house Dormand-Prince 5(4) stepper replaced
+# scipy's RK45 in the Lyapunov-ODE oracle: the printed max_abs_deviation of
+# the nine clt-cross cases moved by up to 4e-12 (it stays near 2e-11); no
+# other digest changed.  A change of any digest must be
+# deliberate and noted in CHANGES.md.
 GOLDEN = {
     'clt-apq_dk': (0, [
         'cdeb6098f37f763f203a30efcf3bed919055d430316da05880037af90d277a73',
@@ -109,31 +108,31 @@ GOLDEN = {
         'ebc006ce8b861063c4a185fb690d1710ad550899387ace0b7facc2c63cbba1e0',
     ]),
     'clt-cross-apq_dk': (0, [
-        'd4cdb696ccdbbf8f60974ff9d126cd80c40f4faa711efdd6d90e79d5f2d9caa1',
+        '08b7d9f15e212d2bb0909c5dee8bb5083b1e5f7b40512c875b262d3b88dabedd',
     ]),
     'clt-cross-apq_mt': (0, [
-        '60e174239387243346972a1cb9192afead65e7b3bde1d256c0a899dacc9548ed',
+        '8ca59216762c693de9d111c000621882881c1fbc78d4ffbe1ade2713fa0bff88',
     ]),
     'clt-cross-dk': (0, [
-        '1c0f852aba54bf2371f063e92601c80c4c37ecdd8c010adabb6d3e210a81b8e7',
+        'bf955503965394ac7db167ebc26d587c943eb029c7696d1a4531958707fb490e',
     ]),
     'clt-cross-explicit': (0, [
-        '0a00733b7a37e97bd434c20fee8be982648faf326777f284143d7d4b4b2fbe7f',
+        '99bc2fb5403b9d0887b2e8df524e0d6853c2d99b2a5a9a182d5a56396e2aeeb3',
     ]),
     'clt-cross-hayes': (0, [
-        '75e587b962afbf1a4aaf464a290db35d18ee3a396d8664db7fa0d9a6d56f3163',
+        '65e4082b5a43c55de2d590c7bc9da60ebfeb79567a5ecaafd4e4c86c06030c97',
     ]),
     'clt-cross-kawachi': (0, [
-        '048c38f2292236a45377b7cff739acdc1942b7bf6bc8778b0e6f68711b0d0dc8',
+        'ad6892784476972945028e3c4b334b564955c5cba26dc33d7b92df430b99415d',
     ]),
     'clt-cross-mt': (0, [
-        'da3db201250649a0221aa4850192d3e064b4dde599778acc63cf08cb3a060d8a',
+        '208c4311878e4f3cda586cb424df23085e8af9a40283487b4976d742578b5358',
     ]),
     'clt-cross-pearce': (0, [
-        '4a325322ff6d30182a14b82d70dc616e4206e833c707704fb3bc747811e37a3c',
+        'b26c01c4f870523cdc9f0b998233fef1d2bda5e7148285e96bf06df0b9860295',
     ]),
     'clt-cross-rho': (0, [
-        'd9f1ed59d8602b8430f11052686a56087cdc108c0578a863eca8742cc7191a9a',
+        'a4d87d2fbda4e0a569d54d20492662d2e3467c6427f24cf10f1c416f50dcdb0d',
     ]),
     'clt-dk': (0, [
         '373c5f834034b210aa849458091187d55718fa9dfd01c1a9f4081839bdc9e405',

@@ -254,6 +254,16 @@ class TestSolver:
                     with pytest.raises(NoBracket, match="underflows"):
                         solve(p)
 
+    @pytest.mark.parametrize("gamma, delta, theta",
+                             [(3.0, 1e-16, 0.0), (1.0, 5e-17, 1.0), (1.0, 1e-16, 1.0)])
+    def test_root_rounding_to_one_raises(self, gamma, delta, theta):
+        # the closed form rounds x_inf to 1 here, outside (0, gamma/(gamma +
+        # delta)); both routes refuse the point
+        p = params_theta(gamma=gamma, delta=delta, theta=theta)
+        for solve in (solve_x_infinity, x_infinity_closed_form):
+            with pytest.raises(NoBracket):
+                solve(p)
+
     def test_lambda_independent_bitwise(self):
         ref = solve_x_infinity(
             ModelParams(lam=1.0, gamma=1.0, theta1=0.4, theta2=0.9, delta=0.8)
