@@ -117,13 +117,14 @@ def rate_weights(x, y, n: int, p: ModelParams):
         w2 = theta1 * y * (y - 1) / 2
         w3 = theta2 * y * (y - 1) + gamma * y * (n + 1 - x - y)
 
-    Works element-wise on numpy arrays as well as on scalars.  All four
-    are zero iff y = 0 (the absorbing states).  The exact oracle calls it
-    on int64 arrays and the simulation kernel, through rate_weights_fn, on
-    float64 ones; its operation order, left to right as written above,
-    fixes both outputs to the bit.
+    Works element-wise on numpy arrays as well as on scalars; the counts
+    are taken as float64, so the weights are float64 whatever the counts'
+    type.  All four are zero iff y = 0 (the absorbing states).  The exact
+    oracle calls it on arrays of states and the simulation kernel, through
+    rate_weights_fn, on float64 ones; its operation order, left to right
+    as written above, fixes both outputs to the bit.
     """
-    return rate_weights_fn(n, p)(x, y)
+    return rate_weights_fn(n, p)(np.asarray(x, float), np.asarray(y, float))
 
 
 def rate_weights_fn(n: int, p: ModelParams):
@@ -131,7 +132,19 @@ def rate_weights_fn(n: int, p: ModelParams):
     with the coefficients converted to float64 once, for a caller that
     evaluates it at many states.  out, if given, is six float64 arrays
     shaped like x: the weights are written into the first four, and the
-    last two are overwritten as scratch."""
+    last two are overwritten as scratch.
+
+    A coefficient of exactly 1 (delta in w0, theta1 in w2, theta2 and
+    gamma in w3) is not multiplied, and a theta2 of exactly 0 drops the
+    theta2 * y * (y - 1) term of w3.  On every state with y >= 1 and
+    nonnegative integer counts both are exact, 1 * v = v and +0 + r = r
+    for r >= 0, so the weights keep the bits of the formula as written.
+    The folds are decided here, once, from the Python floats: comparing
+    the 0-d coefficients on every call costs more than it saves.  Give it
+    float64 counts, as rate_weights does: on integer counts a skipped
+    coefficient leaves integer products, equal in value."""
+    d_one, t1_one, t2_one = p.delta == 1.0, p.theta1 == 1.0, p.theta2 == 1.0
+    g_one, t2_zero = p.gamma == 1.0, p.theta2 == 0.0
     # 0-d arrays: numpy converts a Python float anew on every call
     d, d1, t1, t2, g, top, one, two = (np.array(v, float) for v in (
         p.delta, 1.0 - p.delta, p.theta1, p.theta2, p.gamma, n + 1, 1.0, 2.0))
@@ -140,13 +153,17 @@ def rate_weights_fn(n: int, p: ModelParams):
     def weights(x, y, out=(None,) * 6):
         o0, o1, o2, o3, s, r = out
         ym1 = sub(y, one, out=s)
-        w0 = mul(mul(d, x, out=o0), y, out=o0)
+        w0 = mul(x if d_one else mul(d, x, out=o0), y, out=o0)
         w1 = mul(mul(d1, x, out=o1), y, out=o1)
-        w2 = np.divide(mul(mul(t1, y, out=o2), ym1, out=o2), two, out=o2)
-        w3 = mul(mul(t2, y, out=o3), ym1, out=o3)
+        w2 = np.divide(mul(y if t1_one else mul(t1, y, out=o2), ym1, out=o2), two, out=o2)
+        if not t2_zero:
+            w3 = mul(y if t2_one else mul(t2, y, out=o3), ym1, out=o3)
         # y - 1 is read for the last time: its buffer takes n + 1 - x - y
         rest = sub(sub(top, x, out=s), y, out=s)
-        return w0, w1, w2, np.add(w3, mul(mul(g, y, out=r), rest, out=r), out=o3)
+        gy = y if g_one else mul(g, y, out=r)
+        if t2_zero:
+            return w0, w1, w2, mul(gy, rest, out=o3)
+        return w0, w1, w2, np.add(w3, mul(gy, rest, out=r), out=o3)
 
     return weights
 

@@ -31,8 +31,10 @@ use math.log1p element by element, because numpy's vectorised log1p
 rounds differently in a few percent of draws.  A jump-chain step makes
 about 30 numpy calls, each writing into buffers allocated once per chunk,
 so numpy's fixed cost per call, not arithmetic, sets its price however
-few rows are live (see _chunk_kernel).  A replication at N = 10^4 takes
-about 2 ms.
+few rows are live (see _chunk_kernel).  The weights skip coefficients of
+1 and a theta2 of 0, and with delta = 1 the step has no w1 move to test,
+so a step of the classical presets (dk, mt, hayes) makes about 20.  A
+dk replication at N = 10^4 takes about 1.3 ms.
 
 For small populations an exact final-state distribution is available by
 propagating probability mass through the jump-chain DAG.
@@ -71,8 +73,10 @@ _BLOCK = 1024
 EXACT_N_MAX = 60
 
 
-# The change in y under move k = a + b + c (see _chunk_kernel).
+# The change in y under move k = a + b + c, and under k = a + c when
+# delta = 1 (see _chunk_kernel).
 _DY = np.array([-1.0, -2.0, 0.0, 1.0])
+_DY_DELTA1 = np.array([-1.0, -2.0, 1.0])
 
 
 def _column(block, col, pos, out):
@@ -92,21 +96,27 @@ def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
 
     Each step's cost is mostly numpy's fixed cost per call, so the step
     is written for few calls: ufuncs write into buffers sliced to the live
-    rows, the model's coefficients are 0-d arrays, the thresholds are
-    summed in place, the move is one int8 number, and a column of
-    uniforms is a view until a row of its block absorbs.  A jump-chain
-    step takes about 15-25 us at N = 10^4 with 209 rows and 12-22 us with
-    4 (2-core VM whose speed drifts by a third between runs, Python 3.11,
-    numpy 2.4)."""
+    rows, the model's coefficients are 0-d arrays and those of exactly 1
+    or a theta2 of 0 are folded out, the thresholds are summed in place,
+    the move is one int8 number, and a column of uniforms is a view until
+    a row of its block absorbs.  With delta = 1 the step drops the w1
+    threshold and the w0 count, about 20 calls in all for dk against
+    about 30 in general.  A dk jump-chain step takes about 14-21 us at
+    N = 10^4 with 209 rows and 11-15 us with 4 (2-core VM whose speed
+    drifts by a third between runs, Python 3.11, numpy 2.4)."""
     out_x = np.empty(rows, np.int64)
     out_u = np.empty(rows, np.int64)
     out_j = np.empty(rows, np.int64)
     out_t = np.zeros(rows)
     live = np.arange(rows)
-    # float64 counts: rate_weights gives the same bits as on int64 and
-    # runs faster.  rec counts the w0 moves, the ignorants recruited as
-    # spreaders; every other ignorant informed became uninterested, so
-    # u = n - x - rec.
+    # float64 counts, as rate_weights takes them.  rec counts the w0
+    # moves, the ignorants recruited as spreaders; every other ignorant
+    # informed became uninterested, so u = n - x - rec.  With delta = 1
+    # there is no w1 move (w1 = 0 * x * y = 0): c1 = w0 + w1 is w0, flag b
+    # is flag a, x falls on a, and rec = n - x, so u = 0 and rec is not
+    # kept.
+    delta1 = params.delta == 1.0
+    dys = _DY_DELTA1 if delta1 else _DY
     x = np.full(rows, float(n))
     rec = np.zeros(rows)
     y = np.ones(rows)
@@ -132,8 +142,11 @@ def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
         w0, c1, c2, wsum = weights(x, y, out=scratch)
         # Running sums in place, added in the order ((w0 + w1) + w2) + w3
         # evaluates.
-        c1 += w0
-        c2 += c1
+        if delta1:
+            c2 += w0
+        else:
+            c1 += w0
+            c2 += c1
         wsum += c2
         if hold is not None:
             # math.log1p, not np.log1p: numpy's SIMD log1p rounds
@@ -145,20 +158,25 @@ def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
         step += 1
         # Nondecreasing thresholds: a implies b implies c, so k = a + b + c
         # is 3 on a, (x-1, y+1); 2 on b ^ a, (x-1, u+1); 1 on c ^ b, y-2;
-        # and 0 on ~c, y-1.
+        # and 0 on ~c, y-1.  With delta = 1, b is a and k = a + c is 2 on
+        # a, 1 on c ^ a and 0 on ~c.
         np.less(v, w0, out=a)
-        np.less(v, c1, out=b)
         np.less(v, c2, out=c)
-        np.add(a8, b8, out=k)
-        k += c8
-        x -= b
-        rec += a
-        y += _DY.take(k, out=dy, mode="clip")
+        if delta1:
+            np.add(a8, c8, out=k)
+            x -= a
+        else:
+            np.less(v, c1, out=b)
+            np.add(a8, b8, out=k)
+            k += c8
+            x -= b
+            rec += a
+        y += dys.take(k, out=dy, mode="clip")
         if np.count_nonzero(y) < live.size:
             done = y == 0
             gone = live[done]
             out_x[gone] = x[done]
-            out_u[gone] = n - x[done] - rec[done]
+            out_u[gone] = 0 if delta1 else n - x[done] - rec[done]
             out_j[gone] = step
             out_t[gone] = t[done]
             keep = ~done

@@ -8,7 +8,8 @@ with the bracketed solver or the general constants.
 A Pearson chi-square test compares Monte Carlo final-state histograms
 with the exact small-N distribution of rumour.simulate, and a
 slice-by-slice walk of the jump-chain DAG is the bit-level reference for
-that distribution.
+that distribution.  A scalar evaluation of the transition weights is the
+bit-level reference for rumour.model.rate_weights.
 """
 
 import math
@@ -161,6 +162,19 @@ def exact_probs_by_slices(n: int, params: ModelParams) -> np.ndarray:
             cur[1:top + 1, 1:] = p1[:, None] * live[:, :-1]
             cur[2:top + 2] += p0[:, None] * live
     return probs
+
+
+def rate_weights_reference(x, y, n: int, p) -> tuple[float, float, float, float]:
+    """The four weights of rumour.model.rate_weights at one state, in Python
+    floats, with every coefficient multiplied and every term added left to
+    right as its docstring writes them: the unfolded reference for the
+    folds rate_weights_fn makes.  p needs only delta, theta1, theta2 and
+    gamma."""
+    x, y = float(x), float(y)
+    return (p.delta * x * y,
+            (1.0 - p.delta) * x * y,
+            p.theta1 * y * (y - 1.0) / 2.0,
+            p.theta2 * y * (y - 1.0) + p.gamma * y * (n + 1 - x - y))
 
 
 # goodness_of_fit pools cells whose expected count is below this.

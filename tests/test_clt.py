@@ -61,6 +61,23 @@ class TestConstants:
             assert c.a > 0.0
             assert p.gamma - (p.gamma + p.delta) * lim.x_inf > 0.0
 
+    def test_c_identity_at_random_roots(self):
+        # clt_constants' docstring: on the root,
+        # C (1 - x) = 4 (d - kappa (g + d)) (g + d t)^2 (x - x^(2t)) + (2t - 1) R.
+        # No other check reads C.  Over these points the worst relative
+        # error against the summed magnitudes is about 2e-14.
+        rng = rng_for("c-identity")
+        for _ in range(300):
+            p = random_params(rng)
+            lim = solve_x_infinity(p)
+            c = clt_constants(p, lim)
+            g, d, t, k, x = p.gamma, p.delta, p.theta, c.kappa, lim.x_inf
+            r = k * (g + d) * (1 - x) * ((g + d) * (g + 2 * t * (g + d)) * x
+                                         + g * (d + (3 - 2 * t) * g))
+            terms = (c.c * (1 - x), -4 * (d - k * (g + d)) * (g + d * t) ** 2 * (x - x ** (2 * t)),
+                     -(2 * t - 1) * r)
+            assert abs(math.fsum(terms)) <= 1e-12 * sum(map(abs, terms)), p
+
 
 class TestSigmaValues:
     def test_rho_family_printed_values(self):
@@ -360,6 +377,22 @@ class TestOdeCrossCheck:
         c = clt_constants(p, lim)
         dev = np.abs(lambda_matrix(p, lim, c) - numerical_lambda_via_ode(p, lim)).max()
         assert dev <= 1e-6
+
+    @pytest.mark.parametrize("p", [
+        pytest.param(preset_params("dk"), id="dk"),
+        pytest.param(preset_params("mt"), id="mt"),
+        pytest.param(preset_params("hayes"), id="hayes"),
+        pytest.param(preset_params("apq_dk", alpha=1, p=1, q=0.5), id="11q-dk-q0.5"),
+        pytest.param(preset_params("apq_dk", alpha=0.8, p=0.7, q=0.6), id="apq-dk-.8-.7-.6"),
+    ])
+    def test_matches_closed_form_to_integrator_accuracy(self, p):
+        # At ODE_RTOL/ODE_ATOL the stepper reaches 1.5-3.6e-11 here; a wrong
+        # tableau entry (a65 = -5103/18657) still reaches 2.3e-8, which the
+        # 1e-6 bound above lets through.
+        lim = solve_x_infinity(p)
+        c = clt_constants(p, lim)
+        dev = np.abs(lambda_matrix(p, lim, c) - numerical_lambda_via_ode(p, lim)).max()
+        assert dev <= 1e-9
 
     def test_zero_cross_entries_at_t_inf(self):
         p = preset_params("apq_dk", alpha=0.8, p=0.7, q=0.6)

@@ -116,6 +116,9 @@ def run_kernel(n, p, sel_rows, hold_rows, want_time):
 def parameter_cases():
     rng = rng_for("kernel-contract-params")
     cases = [(name, preset_params(name)) for name in ("dk", "mt", "hayes")]
+    # theta2 = 0 with delta < 1, and theta1 = 0 with delta < 1
+    cases += [("kawachi", preset_params("kawachi", alpha=0.7, beta=0.3, gamma=0.5, theta=0.6)),
+              ("apq_mt", preset_params("apq_mt", alpha=0.6, p=0.8, q=0.7))]
     for theta in (0.0, 0.5, 1.0, None):
         for delta in (1.0, None):
             for i in range(3):

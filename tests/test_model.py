@@ -1,10 +1,14 @@
+import itertools
 import math
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from conftest import random_params, rng_for
+from oracles import rate_weights_reference
 from rumour.errors import ConstraintViolation
-from rumour.model import PRESETS, ModelParams, preset_params, rate_weights
+from rumour.model import PRESETS, ModelParams, preset_params, rate_weights, rate_weights_fn
 
 
 class TestValidation:
@@ -121,6 +125,38 @@ class TestTransitionRates:
         arrays = rate_weights(xs, ys, n, p)
         for i in range(len(xs)):
             assert tuple(a[i] for a in arrays) == rate_weights(int(xs[i]), int(ys[i]), n, p)
+
+    def test_folds_match_unfolded_reference(self):
+        # rate_weights_fn skips coefficients of exactly 1 and a theta2 of
+        # exactly 0.  Every combination of folds, and coefficients one ulp
+        # either side of 1 or the least subnormal in place of 0, which must
+        # not be folded, against the scalar reference at every state with
+        # y >= 1, bit for bit.  The weights read only the four
+        # coefficients, so combinations that theta in [0, 1] rules out are
+        # built as namespaces.
+        rng = rng_for("weights-folds")
+        near_one = (1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0))
+        near_zero = (0.0, math.ulp(0.0))
+
+        def draw():
+            return float(rng.uniform(0.05, 3.0))
+
+        n = 12
+        xs, ys = map(np.array, zip(*[(x, y) for x in range(n + 1) for y in range(1, n + 2 - x)]))
+        for d, t1, t2, g in itertools.product(
+                (*near_one, float(rng.uniform(0.05, 1.0))), (*near_zero, *near_one, draw()),
+                (*near_zero, *near_one, draw()), (*near_one, draw())):
+            p = SimpleNamespace(delta=d, theta1=t1, theta2=t2, gamma=g)
+            want = np.array([rate_weights_reference(x, y, n, p)
+                             for x, y in zip(xs.tolist(), ys.tolist())]).T
+            weights = rate_weights_fn(n, p)
+            for counts in (xs, ys), (xs.astype(float), ys.astype(float)):
+                out = tuple(np.empty(len(xs)) for _ in range(6))
+                for got in (rate_weights(*counts, n, p), weights(*counts),
+                            weights(*counts, out=out)):
+                    got = np.array([np.asarray(w, float) for w in got])
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (
+                        p, counts[0].dtype)
 
 
 class TestPresets:
