@@ -210,7 +210,9 @@ def _dopri5(rhs, y: np.ndarray, tf: float, h: float) -> np.ndarray:
             y_new = y + h * (a @ ks)
             k_next[:] = rhs(t + c * h, y_new)
         scale = ODE_ATOL + ODE_RTOL * np.maximum(np.abs(y), np.abs(y_new))
-        err = math.sqrt(np.mean(np.square(h * (_DP_E @ k) / scale)))
+        v = np.square(h * (_DP_E @ k) / scale)
+        # np.mean's sum and division, without its Python-level wrapper
+        err = math.sqrt(np.add.reduce(v) / v.size)
         if not math.isfinite(err):
             raise IntegrationFailure(f"non-finite error estimate at t = {t!r}")
         if err <= 1.0:
@@ -246,15 +248,16 @@ def numerical_lambda_via_ode(p: ModelParams, lim: LimitResult) -> np.ndarray:
     lyap = np.kron(dF, np.eye(3)) + np.kron(np.eye(3), dF)
     # G = [[la x, -la (1-d) x, -la d x], [., la (1-d) x, 0],
     #      [., 0, la (d-g) x + la (kappa - th + 2g) y + la g]] is gx*x plus
-    # gy*y + gc in its last entry, each sum taken left to right as written
+    # gy*y + gc in its last entry, each sum taken left to right as written;
+    # the last entry in Python floats, the same double operations as numpy's
+    gx8, gy, gc = la * (d - g), la * (kappa - th + 2.0 * g), la * g
     gx = np.array([la, -la * (1.0 - d), -la * d, -la * (1.0 - d), la * (1.0 - d), 0.0,
-                   -la * d, 0.0, la * (d - g)])
-    gy, gc = la * (kappa - th + 2.0 * g), la * g
+                   -la * d, 0.0, gx8])
 
     def rhs(t, flat):
         x = math.exp(-la * t)
         G = gx * x
-        G[8] = G[8] + gy * f(x) + gc
+        G[8] = gx8 * x + gy * f(x) + gc
         return lyap @ flat + G
 
     return _dopri5(rhs, np.zeros(9), tf, tf).reshape(3, 3)

@@ -3,6 +3,17 @@
 Key order follows dict insertion order, floats are printed with 17
 significant digits (lossless for binary64), so equal inputs render to
 byte-identical text.
+
+A table, a list of exact dicts that share one tuple of exact str keys and
+whose values are exact ints or finite exact floats with each column's type
+set by the first row, renders through one row template (%d for int
+columns, %.17g for float ones, a % in a key written %%) applied by a
+single % to all its values: the text of the oracle's support and the
+fluid points.  Every other list, such as one holding a bool, a numpy
+scalar, a NaN or an infinity, rows with keys reordered or missing, a
+column mixing int and float, or a nested value, renders element by
+element, as does a float column whose sum overflows.  Both give the same
+bytes.
 """
 
 from __future__ import annotations
@@ -10,6 +21,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -42,11 +54,41 @@ def _dict(obj: dict, level: int) -> str:
     return "{\n" + items + "\n" + pad_in[INDENT:] + "}"
 
 
+def _table(rows, pad: str) -> str | None:
+    """The rows as _list renders them at indent pad, by one %-template;
+    None if rows is not a table."""
+    first = rows[0]
+    if type(first) is not dict or not first or set(map(type, rows)) != {dict}:
+        return None
+    # every key an exact str (an equal str subclass renders by its str()),
+    # in the first row's order
+    keys = list(first)
+    names = list(chain.from_iterable(rows))
+    if names != keys * len(rows) or set(map(type, names)) != {str}:
+        return None
+    types = list(map(type, first.values()))
+    vals = list(chain.from_iterable(map(dict.values, rows)))
+    if not set(types) <= {int, float} or list(map(type, vals)) != types * len(rows):
+        return None
+    # a NaN or an infinity makes its column's sum non-finite (so may an
+    # overflowing sum of finite floats, which then takes the general path)
+    m = len(keys)
+    if not all(math.isfinite(sum(vals[j::m])) for j, t in enumerate(types) if t is float):
+        return None
+    pad_v = pad + " " * INDENT
+    row = pad + "{\n" + ",\n".join([
+        f"{pad_v}{_key(k).replace('%', '%%')}: {'%d' if t is int else '%.17g'}"
+        for k, t in zip(keys, types)]) + "\n" + pad + "}"
+    return ",\n".join([row] * len(rows)) % tuple(vals)
+
+
 def _list(obj, level: int) -> str:
     if not obj:
         return "[]"
     pad_in = " " * (INDENT * (level + 1))
-    items = ",\n".join([pad_in + _render(v, level + 1) for v in obj])
+    items = _table(obj, pad_in)
+    if items is None:
+        items = ",\n".join([pad_in + _render(v, level + 1) for v in obj])
     return "[\n" + items + "\n" + pad_in[INDENT:] + "]"
 
 

@@ -142,7 +142,11 @@ def rate_weights_fn(n: int, p: ModelParams):
     The folds are decided here, once, from the Python floats: comparing
     the 0-d coefficients on every call costs more than it saves.  Give it
     float64 counts, as rate_weights does: on integer counts a skipped
-    coefficient leaves integer products, equal in value."""
+    coefficient leaves integer products, equal in value.
+
+    At delta = 1 with out given, w1 is written by one fill with +0.0, the
+    value (0 * x) * y takes on those states; without out it is computed
+    as written."""
     d_one, t1_one, t2_one = p.delta == 1.0, p.theta1 == 1.0, p.theta2 == 1.0
     g_one, t2_zero = p.gamma == 1.0, p.theta2 == 0.0
     # 0-d arrays: numpy converts a Python float anew on every call
@@ -154,7 +158,11 @@ def rate_weights_fn(n: int, p: ModelParams):
         o0, o1, o2, o3, s, r = out
         ym1 = sub(y, one, out=s)
         w0 = mul(x if d_one else mul(d, x, out=o0), y, out=o0)
-        w1 = mul(mul(d1, x, out=o1), y, out=o1)
+        if d_one and o1 is not None:
+            o1.fill(0.0)  # (0 * x) * y is +0.0; one call in place of two
+            w1 = o1
+        else:
+            w1 = mul(mul(d1, x, out=o1), y, out=o1)
         w2 = np.divide(mul(y if t1_one else mul(t1, y, out=o2), ym1, out=o2), two, out=o2)
         if not t2_zero:
             w3 = mul(y if t2_one else mul(t2, y, out=o3), ym1, out=o3)

@@ -100,10 +100,10 @@ def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
     or a theta2 of 0 are folded out, the thresholds are summed in place,
     the move is one int8 number, and a column of uniforms is a view until
     a row of its block absorbs.  With delta = 1 the step drops the w1
-    threshold and the w0 count, about 20 calls in all for dk against
-    about 30 in general.  A dk jump-chain step takes about 14-21 us at
-    N = 10^4 with 209 rows and 11-15 us with 4 (2-core VM whose speed
-    drifts by a third between runs, Python 3.11, numpy 2.4)."""
+    threshold and the w0 count, and w1 is one fill, about 19 calls in all
+    for dk against about 30 in general.  A dk jump-chain step takes about
+    13-18 us at N = 10^4 with 209 rows and 8-9 us with 4 (2-core VM whose
+    speed drifts by a third between runs, Python 3.11, numpy 2.4)."""
     out_x = np.empty(rows, np.int64)
     out_u = np.empty(rows, np.int64)
     out_j = np.empty(rows, np.int64)

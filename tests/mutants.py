@@ -49,6 +49,18 @@ MUTANTS = {
         "src/rumour/clt.py", "(1.0 - th) ** 2", "(1.0 - th) ** 3"),
     "Dormand-Prince a65 = -5103/18657": (
         "src/rumour/clt.py", "-5103 / 18656", "-5103 / 18657"),
+    "ODE error norm over size - 1": (
+        "src/rumour/clt.py", "np.add.reduce(v) / v.size", "np.add.reduce(v) / (v.size - 1)"),
+    "B: gamma + theta": (
+        "src/rumour/clt.py", "/ (g + d * th)", "/ (g + th)"),
+    "delta = 1 w1 fill at a subnormal": (
+        "src/rumour/model.py", "o1.fill(0.0)", "o1.fill(5e-324)"),
+    "McStats: x . x for x . u": (
+        "src/rumour/simulate.py", "np.dot(x, u)", "np.dot(x, x)"),
+    "JSON table: 16 digits": (
+        "src/rumour/jsonio.py", "else '%.17g'", "else '%.16g'"),
+    "JSON table: % in keys unescaped": (
+        "src/rumour/jsonio.py", "_key(k).replace('%', '%%')", "_key(k)"),
 }
 
 

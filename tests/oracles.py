@@ -9,9 +9,11 @@ A Pearson chi-square test compares Monte Carlo final-state histograms
 with the exact small-N distribution of rumour.simulate, and a
 slice-by-slice walk of the jump-chain DAG is the bit-level reference for
 that distribution.  A scalar evaluation of the transition weights is the
-bit-level reference for rumour.model.rate_weights.
+bit-level reference for rumour.model.rate_weights.  A recursive JSON
+renderer is the byte-level reference for rumour.jsonio.dumps.
 """
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -175,6 +177,41 @@ def rate_weights_reference(x, y, n: int, p) -> tuple[float, float, float, float]
             (1.0 - p.delta) * x * y,
             p.theta1 * y * (y - 1.0) / 2.0,
             p.theta2 * y * (y - 1.0) + p.gamma * y * (n + 1 - x - y))
+
+
+def dumps_reference(obj) -> str:
+    """rumour.jsonio.dumps rendered element by element, as it renders
+    everything that is not a table: the slow reference for its table path."""
+    return _render_reference(obj, 0) + "\n"
+
+
+def _render_reference(obj, level: int) -> str:
+    pad = "  " * level
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f"{pad}  {json.dumps(k if type(k) is str else str(k))}: "
+                 f"{_render_reference(v, level + 1)}" for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [f"{pad}  {_render_reference(v, level + 1)}" for v in obj]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if math.isfinite(x):
+            return f"{x:.17g}"
+        return "NaN" if math.isnan(x) else "Infinity" if x > 0 else "-Infinity"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if obj is None:
+        return "null"
+    raise TypeError(f"cannot render {type(obj)!r} deterministically")
 
 
 # goodness_of_fit pools cells whose expected count is below this.

@@ -3,8 +3,11 @@ import os
 import subprocess
 import sys
 
-from rumour import simulate
+import numpy as np
+
+from rumour import clt, simulate
 from rumour.cli import main
+from rumour.model import ModelParams, preset_params
 
 
 def run_cli(capsys, *argv):
@@ -101,6 +104,13 @@ class TestFluid:
         assert abs(pts[0]["y"]) <= 1e-14
         assert abs(pts[-1]["y"]) <= 1e-10
         assert abs(pts[-1]["t"] - obj["t_inf"]) <= 1e-15
+
+    def test_201_points_round_trip(self, capsys):
+        params = ModelParams(lam=1.3, gamma=0.7, theta1=0.4, theta2=0.55, delta=0.6)
+        obj = run_json(capsys, "fluid", "--points", "201", "--lambda", "1.3", "--gamma", "0.7",
+                       "--theta1", "0.4", "--theta2", "0.55", "--delta", "0.6")
+        want = clt.fluid_trajectory(np.linspace(0.0, obj["t_inf"], 201), params)
+        assert obj["points"] == [{"t": p.t, "x": p.x, "u": p.u, "y": p.y} for p in want]
 
     def test_csv(self, capsys):
         code, out, _ = run_cli(capsys, "fluid", "--preset", "mt",
@@ -200,6 +210,18 @@ class TestOracleAndPresets:
         assert code == 0
         assert out.splitlines()[0] == "x,u,p"
         assert out.splitlines()[1] == "0,0,0.75"
+
+    def test_oracle_n60_round_trips(self, capsys):
+        # the largest n, where the support is one long table: every p reads
+        # back as the double in probs, in support() order
+        argv = ["--preset", "apq_dk", "--alpha", "0.8", "--p", "0.7", "--q", "0.5"]
+        obj = run_json(capsys, "oracle", "--n", "60", *argv)
+        probs = simulate.exact_final_distribution(60, preset_params(
+            "apq_dk", alpha=0.8, p=0.7, q=0.5)).probs
+        xs, us = np.nonzero(probs)
+        assert [(r["x"], r["u"]) for r in obj["support"]] == list(zip(xs.tolist(), us.tolist()))
+        assert [r["p"] for r in obj["support"]] == probs[xs, us].tolist()
+        assert all(type(r["x"]) is int and type(r["p"]) is float for r in obj["support"])
 
     def test_oracle_too_large_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "oracle", "--preset", "dk", "--n", "100")

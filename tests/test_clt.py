@@ -8,6 +8,7 @@ from oracles import sigma_closed_form
 from rumour.clt import (
     ODE_ATOL,
     ODE_RTOL,
+    _DP_E,
     _dopri5,
     clt_constants,
     fluid_trajectory,
@@ -341,6 +342,29 @@ class TestDormandPrince:
         exact = self.exact()
         assert np.all(np.abs(y - exact) <= 10.0 * (ODE_ATOL + ODE_RTOL * np.abs(exact)))
         assert np.abs(y - self.solve(1e-3)[0]).max() <= 1e-7
+
+    @pytest.mark.parametrize("h", [0.05, 0.01])
+    def test_next_step_from_root_mean_square_error(self, h):
+        # the second trial's step is h*0.9*err**(-1/5), err the root mean
+        # square of the first trial's scaled error estimate, recomputed here
+        # from the stages; at these h the factor is not clipped, and the
+        # first trial is rejected at 0.05 and accepted at 0.01
+        calls = []
+
+        def rhs(t, y):
+            calls.append((t, y.copy()))
+            return self.A * y + self.B
+
+        _dopri5(rhs, self.Y0.copy(), self.TF, h)
+        k = np.array([self.A * y + self.B for _, y in calls[:7]])
+        y_new = calls[6][1]  # stage 7 is evaluated at the fifth-order solution
+        scale = ODE_ATOL + ODE_RTOL * np.maximum(np.abs(self.Y0), np.abs(y_new))
+        est = (h * (_DP_E @ k) / scale).tolist()
+        err = math.sqrt(sum(e * e for e in est) / len(est))
+        factor = 0.9 * err**-0.2
+        assert 0.2 < factor < 10.0
+        start = h if err <= 1.0 else 0.0
+        assert calls[7][0] == pytest.approx(start + 0.2 * h * factor, rel=1e-12)
 
     def test_nan_rhs_raises_at_once(self):
         calls = []
