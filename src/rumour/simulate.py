@@ -28,13 +28,16 @@ The kernel is a numpy lockstep walk: each step advances every live
 replication of a chunk by one jump, with weights from model.rate_weights,
 so each path is bit-identical to a one-row-at-a-time walk.  Holding times
 use math.log1p element by element, because numpy's vectorised log1p
-rounds differently in a few percent of draws.  A jump-chain step makes
-about 30 numpy calls, each writing into buffers allocated once per chunk,
-so numpy's fixed cost per call, not arithmetic, sets its price however
-few rows are live (see _chunk_kernel).  The weights skip coefficients of
-1 and a theta2 of 0, and with delta = 1 the step has no w1 move to test,
-so a step of the classical presets (dk, mt, hayes) makes about 20.  A
-dk replication at N = 10^4 takes about 1.3 ms.
+rounds differently in a few percent of draws.  A step makes about 19
+numpy calls for the classical presets (dk, mt, hayes) and about 30 in
+general, each writing into buffers allocated once per chunk, so numpy's
+fixed cost per call, not arithmetic, sets its price however few rows are
+live.  When few rows are live the kernel therefore walks windows: each
+round of calls moves every row by up to a thousand jumps, guessing the
+window's moves and correcting them from the states they lead through
+until none changes, which gives the step's bits (see _chunk_kernel).  A
+dk replication at N = 10^4 takes about 0.95 ms, against 1.28 ms one step
+at a time, and four at N = 10^6 take about 1.3 s, against 38.6 s.
 
 For small populations an exact final-state distribution is available by
 propagating probability mass through the jump-chain DAG.
@@ -69,6 +72,14 @@ _MAX_CHUNK = 1024
 # Uniforms per row the kernel reads at a time.
 _BLOCK = 1024
 
+# The kernel walks windows of _WINDOW_CELLS // live jumps per row at
+# populations of at least _WINDOW_N when at most
+# max(_WINDOW_ROWS, n // _WINDOW_SPAN) rows are live (see _window_width).
+_WINDOW_N = 1000
+_WINDOW_ROWS = 128
+_WINDOW_SPAN = 20
+_WINDOW_CELLS = 12288
+
 # Largest population the exact oracle accepts; its time is O(n^3).
 EXACT_N_MAX = 60
 
@@ -77,12 +88,31 @@ EXACT_N_MAX = 60
 # delta = 1 (see _chunk_kernel).
 _DY = np.array([-1.0, -2.0, 0.0, 1.0])
 _DY_DELTA1 = np.array([-1.0, -2.0, 1.0])
+# A window packs each move's (dx, dy) into dy + _PACK * dx.
+_PACK = float(1 << 20)
 
 
 def _column(block, col, pos, out):
     """Column col of block at the rows pos, gathered into out, or a view
     of the whole column if pos is None."""
     return block[:, col] if pos is None else block[:, col].take(pos, out=out, mode="clip")
+
+
+def _window_width(n: int, live: int) -> int:
+    """Jumps per window of the lockstep kernel with live rows at population
+    n; 1 is the single step.  A window's rounds cost about as much per jump
+    and row as the step does per row, and save the step's fixed cost per
+    call, but redo the rows whose moves changed: more of them when more
+    rows are live and, at small n, where the states move fast.  Measured
+    on dk chunks (CHANGES.md), windows of _WINDOW_CELLS // live jumps win
+    at up to 128 live rows at every n from 200 to 10^5 and at 209-256 rows
+    from n = 5000 on, and lose at 256 rows for n <= 1000 and at 384 rows
+    and more.  Below _WINDOW_N they gain little (1.2x at 128 rows and
+    n = 200, against 1.6x at n = 2000) for the memory their grids add to
+    the tail of every chunk."""
+    if n < _WINDOW_N or live > max(_WINDOW_ROWS, n // _WINDOW_SPAN):
+        return 1
+    return _WINDOW_CELLS // live
 
 
 def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
@@ -101,9 +131,22 @@ def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
     the move is one int8 number, and a column of uniforms is a view until
     a row of its block absorbs.  With delta = 1 the step drops the w1
     threshold and the w0 count, and w1 is one fill, about 19 calls in all
-    for dk against about 30 in general.  A dk jump-chain step takes about
-    13-18 us at N = 10^4 with 209 rows and 8-9 us with 4 (2-core VM whose
-    speed drifts by a third between runs, Python 3.11, numpy 2.4)."""
+    for dk against about 30 in general.
+
+    When _window_width(n, live) gives width > 1, a window advances every
+    live row by width jumps, or to its absorption, in a few rounds of
+    those calls on live x (width + 1) grids.  It guesses every move from
+    the row's state at the window's start, rebuilds the states the moves
+    lead through as exact prefix sums of their packed (dx, dy), recomputes
+    every move from those states, and repeats on the rows whose moves
+    changed before they absorb.  Move j is right once moves 0 ... j - 1
+    are, so each round settles at least one more jump, and a row whose
+    moves a round leaves unchanged has walked the very states and
+    thresholds of the single step: the same bits from the same uniforms.
+    A window ends before the last column of its block of uniforms.  In a
+    dk chunk of 209 rows at N = 10^4, a window of 58 jumps takes about
+    0.6 ms in 2.1 rounds on average, where 58 steps take about 1.3 ms
+    (2-core VM, Python 3.11, numpy 2.4)."""
     out_x = np.empty(rows, np.int64)
     out_u = np.empty(rows, np.int64)
     out_j = np.empty(rows, np.int64)
@@ -125,11 +168,156 @@ def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
     lam = np.array(params.lam)
     # Every step writes into these, sliced to the live rows when they change.
     floats, flags, moves = np.empty((9, rows)), np.empty((3, rows), bool), np.empty(rows, np.int8)
+    # Every window writes into buffers of this many cells per row, viewed
+    # as grids of its rows and made at the chunk's first window; a window
+    # is at most as wide as they hold.
+    cells = min(_WINDOW_CELLS, rows * _BLOCK) + rows
+    wfloats = walks = wflags = wmoves = None
 
     def buffers(size):
         *scratch, v, h, dy = floats[:, :size]
         # the flags' bytes read as int8 0/1, so k sums them without a cast
         return scratch, v, h, dy, flags[:, :size], flags[:, :size].view(np.int8), moves[:size]
+
+    def thresholds(xv, yv, out):
+        w0, c1, c2, wsum = weights(xv, yv, out=out)
+        # Running sums in place, added in the order ((w0 + w1) + w2) + w3
+        # evaluates.
+        if delta1:
+            c2 += w0
+        else:
+            c1 += w0
+            c2 += c1
+        wsum += c2
+        return w0, c1, c2, wsum
+
+    def flag(v, w0, c1, c2, f):
+        np.less(v, w0, out=f[0])
+        np.less(v, c2, out=f[2])
+        if not delta1:
+            np.less(v, c1, out=f[1])
+
+    def count(f8, k):
+        # Nondecreasing thresholds: a implies b implies c, so k = a + b + c
+        # is 3 on a, (x-1, y+1); 2 on b ^ a, (x-1, u+1); 1 on c ^ b, y-2;
+        # and 0 on ~c, y-1.  With delta = 1, b is a and k = a + c is 2 on
+        # a, 1 on c ^ a and 0 on ~c.
+        if delta1:
+            return np.add(f8[0], f8[2], out=k)
+        np.add(f8[0], f8[1], out=k)
+        k += f8[2]
+        return k
+
+    def window(sel, hold, col, pos, width):
+        """Advance each live row width jumps, or to its absorption, from
+        column col of the blocks; return each row's jumps taken."""
+        nonlocal wfloats, walks, wflags, wmoves
+        if wfloats is None:
+            wfloats, walks = np.empty((7, cells)), np.empty((2, cells))
+            wflags, wmoves = np.empty((5, cells), bool), np.empty((3, cells), np.int8)
+        size = live.size
+        # one column more than the window: the flags of the state after
+        # its last jump are computed, and never read
+        cols = slice(col, col + width + 1)
+
+        def grid(pool, r):
+            # each row of pool as r rows of width + 1 cells: column j is
+            # jump j, or the state before it
+            return pool[..., :r * (width + 1)].reshape(pool.shape[:-1] + (r, width + 1))
+
+        def pack(f, packed):
+            # packed[:, j] sums dy + _PACK * dx over the moves before jump
+            # j; flat, each flag row of f is one cell behind packed.  The
+            # move's code is -1 (w3), -2 on c (w2), -_PACK on b (w1) and
+            # 1 - _PACK on a (w0), as a makes b and c true and b makes c.
+            codes, (a, b, c) = packed.ravel()[1:], f.reshape(3, -1)[:, :-1]
+            if delta1:
+                np.multiply(a, 3.0 - _PACK, out=codes)
+            else:
+                np.multiply(b, 2.0 - _PACK, out=codes)
+                codes += a
+            codes -= c
+            codes -= 1.0
+            packed[:, 0] = 0.0
+            np.cumsum(packed, axis=1, out=packed)
+
+        # The guess: every move from the row's state at the window's start.
+        w0, c1, c2, wsum = (w[:, None] for w in thresholds(x, y, scratch))
+        f, v = grid(wflags[:3], size), grid(wfloats[4], size)
+        np.multiply(sel[:, cols] if pos is None else sel[pos, cols], wsum, out=v)
+        flag(v, w0, c1, c2, f)
+        k = count(f.view(np.int8), grid(wmoves[0], size))
+        pack(f, grid(walks[1], size))
+        # The rows still walked, their places among the window's rows and
+        # in the blocks, and their states at its start; each row's state
+        # after its last jump, and its moves and weights, once settled.
+        act, at, x0, y0 = np.arange(size), pos, x, y
+        taken, ends = np.empty(size, np.int64), np.empty((2, size))
+        settled, wsums = grid(wmoves[2], size), grid(wfloats[6], size)
+        # Each round settles at least one more jump of every row it walks.
+        for _ in range(width + 1):
+            r = act.size
+            # |sum dy| <= 2 width < _PACK / 2, so rounding splits the packed
+            # sums exactly into xs and ys, the states before each jump
+            out, (xs, ys), f = grid(wfloats[:6], r), grid(walks, r), grid(wflags[:3], r)
+            np.rint(np.multiply(ys, 1.0 / _PACK, out=xs), out=xs)
+            ys -= np.multiply(xs, _PACK, out=out[5])
+            ys += y0[:, None]
+            xs += x0[:, None]
+            # the single step's arithmetic at every jump's state; where the
+            # states are not the chain's, the thresholds need not be in
+            # order, so make a imply b imply c before counting
+            w0, c1, c2, wsum = thresholds(xs, ys, out)
+            v = np.multiply(sel[:, cols] if at is None else sel[at, cols], wsum, out=out[4])
+            flag(v, w0, c1, c2, f)
+            if not delta1:
+                np.logical_or(f[1], f[0], out=f[1])
+            np.logical_or(f[2], f[0] if delta1 else f[1], out=f[2])
+            new = count(f.view(np.int8), grid(wmoves[1], r))
+            # A row is settled when no move changed up to its absorption,
+            # or the window's end: its walked states are then the chain's.
+            # After its absorption they are junk.  last is the jump after
+            # which y is 0, or the window's last jump, and the first
+            # changed move is found past the window's end if none changed.
+            hit, diff = grid(wflags[3], r), grid(wflags[4], r)
+            np.equal(ys.ravel()[1:], 0.0, out=hit.ravel()[:-1])
+            hit[:, -2] = True
+            last = hit.argmax(axis=1)
+            np.not_equal(new, k, out=diff)
+            diff[:, -1] = True
+            moved = np.less_equal(diff.argmax(axis=1), last)
+            done = ~moved
+            here, ended = act[done], last[done] + 1
+            taken[here] = ended
+            ends[:, here] = xs[done, ended], ys[done, ended]
+            settled[here] = new[done]
+            if hold is not None:
+                wsums[here] = wsum[done]
+            if not moved.any():
+                break
+            act, x0, y0, k = act[moved], x0[moved], y0[moved], new[moved]
+            at = act if pos is None else pos[act]
+            pack(f[:, moved], grid(walks[1], act.size))
+        else:
+            raise AssertionError("a window of the lockstep kernel did not settle")
+        x[:], y[:] = ends
+        valid = np.less(np.arange(width), taken[:, None], out=grid(wflags[3], size)[:, :-1])
+        if not delta1:
+            recruits = np.equal(settled[:, :-1], 3, out=grid(wflags[0], size)[:, :-1])
+            rec[:] += np.logical_and(recruits, valid, out=recruits).sum(axis=1)  # k = 3: w0
+        if hold is not None:
+            # t - q is t + (-q) to the bit: add the negated holding times of
+            # the jumps walked, in jump order after the time so far
+            cols = slice(col, col + width)
+            h = (hold[:, cols] if pos is None else hold[pos, cols])[valid]
+            logs = np.fromiter(map(math.log1p, np.negative(h, out=h).tolist()), float, h.size)
+            ts = grid(walks[0], size)
+            ts[:, 0] = t
+            ts[:, 1:] = 0.0
+            den = np.multiply(-lam, wsums[:, :-1][valid], out=h)
+            ts[:, 1:][valid] = np.divide(logs, den, out=h)
+            t[:] = np.add.accumulate(ts, axis=1, out=ts)[:, -1]
+        return taken
 
     scratch, v, h, dy, (a, b, c), (a8, b8, c8), k = buffers(rows)
     step = 0
@@ -139,45 +327,35 @@ def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
         if not col:
             sel, hold = read(live, step)
             pos = None  # the live rows are the blocks' rows until one absorbs
-        w0, c1, c2, wsum = weights(x, y, out=scratch)
-        # Running sums in place, added in the order ((w0 + w1) + w2) + w3
-        # evaluates.
-        if delta1:
-            c2 += w0
+        width = min(_window_width(n, live.size), sel.shape[1] - col - 1, cells // live.size - 1)
+        if width > 1:
+            jumps = step + window(sel, hold, col, pos, width)
+            step += width
         else:
-            c1 += w0
-            c2 += c1
-        wsum += c2
-        if hold is not None:
-            # math.log1p, not np.log1p: numpy's SIMD log1p rounds
-            # differently in about 7 % of draws, moving times by an ulp.
-            np.negative(_column(hold, col, pos, h), out=h)
-            logs = np.fromiter(map(math.log1p, h.tolist()), float, live.size)
-            t -= np.divide(logs, np.multiply(lam, wsum, out=h), out=logs)
-        np.multiply(_column(sel, col, pos, v), wsum, out=v)
-        step += 1
-        # Nondecreasing thresholds: a implies b implies c, so k = a + b + c
-        # is 3 on a, (x-1, y+1); 2 on b ^ a, (x-1, u+1); 1 on c ^ b, y-2;
-        # and 0 on ~c, y-1.  With delta = 1, b is a and k = a + c is 2 on
-        # a, 1 on c ^ a and 0 on ~c.
-        np.less(v, w0, out=a)
-        np.less(v, c2, out=c)
-        if delta1:
-            np.add(a8, c8, out=k)
-            x -= a
-        else:
-            np.less(v, c1, out=b)
-            np.add(a8, b8, out=k)
-            k += c8
-            x -= b
-            rec += a
-        y += dys.take(k, out=dy, mode="clip")
+            w0, c1, c2, wsum = thresholds(x, y, scratch)
+            if hold is not None:
+                # math.log1p, not np.log1p: numpy's SIMD log1p rounds
+                # differently in about 7 % of draws, moving times by an ulp.
+                np.negative(_column(hold, col, pos, h), out=h)
+                logs = np.fromiter(map(math.log1p, h.tolist()), float, live.size)
+                t -= np.divide(logs, np.multiply(lam, wsum, out=h), out=logs)
+            np.multiply(_column(sel, col, pos, v), wsum, out=v)
+            step += 1
+            jumps = step
+            flag(v, w0, c1, c2, (a, b, c))
+            count((a8, b8, c8), k)
+            if delta1:
+                x -= a
+            else:
+                x -= b
+                rec += a
+            y += dys.take(k, out=dy, mode="clip")
         if np.count_nonzero(y) < live.size:
             done = y == 0
             gone = live[done]
             out_x[gone] = x[done]
             out_u[gone] = 0 if delta1 else n - x[done] - rec[done]
-            out_j[gone] = step
+            out_j[gone] = jumps[done] if width > 1 else jumps
             out_t[gone] = t[done]
             keep = ~done
             if pos is None:

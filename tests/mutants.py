@@ -29,6 +29,10 @@ ROOT = Path(__file__).resolve().parent.parent
 PYTEST = (sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
           "-m", "not slow", "--ignore=tests/test_golden.py")
 
+# A suite that runs this many seconds (the unmutated one takes about one
+# minute) is stopped, and its mutant counts as killed by a hang.
+TIMEOUT = 900
+
 # name: (file, text, replacement)
 MUTANTS = {
     "fold delta at 1 + 2^-52": (
@@ -61,13 +65,39 @@ MUTANTS = {
         "src/rumour/jsonio.py", "else '%.17g'", "else '%.16g'"),
     "JSON table: % in keys unescaped": (
         "src/rumour/jsonio.py", "_key(k).replace('%', '%%')", "_key(k)"),
+    "A: gamma * x in the denominator": (
+        "src/rumour/clt.py", "/ (g - (g + d) * x)", "/ (g - g * x)"),
+    "Sigma: s12 - A * B": (
+        "src/rumour/clt.py", "+ consts.a * consts.b", "- consts.a * consts.b"),
+    "Philox seek one counter late": (
+        "src/rumour/simulate.py", "= draw // 4", "= draw // 4 + 1"),
+    "McStats: sum x for sum u": (
+        "src/rumour/simulate.py", "int(u.sum())", "int(x.sum())"),
+    "kernel: w0 threshold inclusive": (
+        "src/rumour/simulate.py", "np.less(v, w0", "np.less_equal(v, w0"),
+    "window: a change at the absorbing jump ignored": (
+        "src/rumour/simulate.py", "np.less_equal(diff.argmax(axis=1), last)",
+        "np.less(diff.argmax(axis=1), last)"),
+    "window: prefix sums shifted by one jump": (
+        "src/rumour/simulate.py", "packed.ravel()[1:]", "packed.ravel()[:-1]"),
+    "window: converged when the first jump is": (
+        "src/rumour/simulate.py", "np.less_equal(diff.argmax(axis=1), last)",
+        "np.less_equal(diff.argmax(axis=1), 0)"),
+    "window: one jump past absorption counted": (
+        "src/rumour/simulate.py", "np.less(np.arange(width), taken[:, None]",
+        "np.less_equal(np.arange(width), taken[:, None]"),
 }
 
 
 def run_suite(copy: Path) -> list[str]:
-    """The ids of the tests that failed or errored in copy."""
+    """The ids of the tests that failed or errored in copy, or a note that
+    the suite timed out."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"))
-    res = subprocess.run(PYTEST, cwd=copy, env=env, capture_output=True, text=True)
+    try:
+        res = subprocess.run(PYTEST, cwd=copy, env=env, capture_output=True, text=True,
+                             timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return [f"(the suite ran past {TIMEOUT} s)"]
     return re.findall(r"^(?:FAILED|ERROR) (\S+)", res.stdout, re.MULTILINE)
 
 

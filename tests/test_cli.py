@@ -438,6 +438,17 @@ def test_import_loads_no_scipy():
     assert codes[0] == 0 and codes[1] in (0, 1) and crossed
 
 
+def test_few_rows_exact_time_write_no_stderr():
+    # Six rows walk the kernel's windows of many jumps, and rows absorb in
+    # the middle of one; the states after a row's absorption are junk, and
+    # dividing by their weights would print a RuntimeWarning
+    run = fresh_python("-m", "rumour.cli", "simulate", "--n", "2000", "--reps", "6",
+                       "--seed", "4", "--mode", "exact-time", "--lambda", "0.7", "--gamma",
+                       "0.8", "--theta1", "0.832", "--theta2", "0.208", "--delta", "0.6")
+    assert (run.returncode, run.stderr) == (0, "")
+    assert json.loads(run.stdout)["stats"]["reps"] == 6
+
+
 def test_parser_built_once_keeps_no_state(capsys, tmp_path):
     # main parses with one parser per process; calls that differ in their
     # flags, one after another, must each print what the same argv prints

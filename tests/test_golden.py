@@ -72,6 +72,14 @@ CASES.update({
     + POINTS["dk"],
     "verify-block-exact-time": ["verify", "--n", "1500", "--reps", "64", "--seed", "4",
                                 "--mode", "exact-time"] + POINTS["dk"],
+    # Few rows, many jumps: four rows at N = 10^5 each read many blocks of
+    # uniforms, and six exact-time rows at N = 20000 with delta < 1 absorb
+    # at different steps.
+    "simulate-few-rows-dk": ["simulate", "--n", "100000", "--reps", "4", "--seed", "2"]
+    + POINTS["dk"],
+    "simulate-few-rows-exact-time": ["simulate", "--n", "20000", "--reps", "6", "--seed", "4",
+                                     "--mode", "exact-time", "--dump", "{dump}"]
+    + POINTS["explicit"],
     "presets": ["presets"],
     "output-file": ["clt", "--output", "{out}"] + POINTS["explicit"],
     # The sizes the theory-sweep benchmark runs; delta < 1 at the explicit
@@ -326,6 +334,13 @@ GOLDEN = {
     'simulate-exact-time': (0, [
         'f4b60cc5aa19676c52a2f5bf55698ba326dfa4ffa21c5ff7f70a423bc34e9c17',
         '46d2c166d0d8d01092efa5dbca9a11b213c5b34d95f10101d16b0c32a42c6c05',
+    ]),
+    'simulate-few-rows-dk': (0, [
+        'b8b66a01d0d887f16ca7b4adc827cf47d46ae8ea4859c8ebeaadcc90213f0167',
+    ]),
+    'simulate-few-rows-exact-time': (0, [
+        '1e2298c1e6118d59c4b41bbf6228fcfedbf5f1a824992f81c1d016e36dbcd7d3',
+        '6285b8c63ed9fdd417fb1ab37d76b9224335e3db2dda84e68bc080e0521dad11',
     ]),
     'simulate-jump-chain': (0, [
         '51a7acc04bb4eb2f550c26b08942e385cb0bc4547d353a16563b54d2ce09f696',

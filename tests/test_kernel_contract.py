@@ -25,7 +25,11 @@ and one ulp too low loses the second kind to the move above.
 The kernel reads its uniforms in column blocks, every one through the
 same reader.  Every case runs at the default block width and again at
 widths 3 and 7, so later reads fall in the middle of paths, and must give
-the same results at each.  The Philox block reader is checked against the
+the same results at each.  At each block width it runs with the window
+width the kernel picks and again with widths forced from the single step
+to wider than any block, so every check above also walks the window path,
+with windows cut short by block edges and rows absorbing inside them.
+The Philox block reader is checked against the
 whole-matrix draw it replaces, writing every block into one reused
 buffer.
 """
@@ -42,6 +46,10 @@ from rumour.model import ModelParams, preset_params, rate_weights
 from rumour.simulate import _chunk_kernel, _philox_rows
 
 BLOCKS = (simulate._BLOCK, 3, 7)
+
+# Window widths forced on the kernel, besides the one _window_width picks:
+# the single step, short windows, and windows wider than any block.
+WIDTHS = (1, 2, 5, 64, 4 * simulate._BLOCK)
 
 MOVES = ((-1, 0, 1), (-1, 1, 0), (0, 0, -2), (0, 0, -1))  # on (x, u, y)
 
@@ -91,9 +99,9 @@ def reader(sel, hold):
 
 def run_kernel(n, p, sel_rows, hold_rows, want_time):
     """Run the kernel on the given rows of uniforms (each padded with 0.5
-    to the 2n + 1 a replication may use) at every width in BLOCKS; check
-    that the widths agree and return the per-row outputs, with times None
-    in jump-chain mode."""
+    to the 2n + 1 a replication may use) at every block width in BLOCKS
+    and every window width, chosen or in WIDTHS; check that they all agree
+    and return the per-row outputs, with times None in jump-chain mode."""
     m = 2 * n + 1
     rows = len(sel_rows)
     sel = np.full((rows, m), 0.5)
@@ -101,16 +109,21 @@ def run_kernel(n, p, sel_rows, hold_rows, want_time):
     for r in range(rows):
         sel[r, : len(sel_rows[r])] = sel_rows[r]
         hold[r, : len(hold_rows[r])] = hold_rows[r]
-    results = []
+    results = {}
     for block in BLOCKS:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(simulate, "_BLOCK", block)
-            read = reader(sel, hold if want_time else None)
-            xs, us, js, ts = _chunk_kernel(n, p, rows, read)
-        results.append((xs.tolist(), us.tolist(), js.tolist(),
-                        ts.tolist() if want_time else None))
-    assert all(r == results[0] for r in results), "block widths disagree"
-    return results[0]
+        for width in (None,) + WIDTHS:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(simulate, "_BLOCK", block)
+                if width is not None:
+                    mp.setattr(simulate, "_window_width", lambda n, live, width=width: width)
+                read = reader(sel, hold if want_time else None)
+                xs, us, js, ts = _chunk_kernel(n, p, rows, read)
+            results[block, width] = (xs.tolist(), us.tolist(), js.tolist(),
+                                     ts.tolist() if want_time else None)
+    first = results[BLOCKS[0], None]
+    assert all(r == first for r in results.values()), \
+        [key for key, r in results.items() if r != first]
+    return first
 
 
 def parameter_cases():
@@ -276,16 +289,20 @@ def test_philox_reader_matches_whole_matrix(block, monkeypatch):
 @pytest.mark.parametrize("mode", ["jump-chain", "exact-time"])
 def test_chunks_same_at_every_block_width(mode, monkeypatch):
     # The whole pipeline, Philox reader and kernel, gives the same results
-    # whatever the block width, including rows read in one call (width
-    # >= 2n + 1) against rows read many times.
+    # whatever the block width and the window width, including rows read
+    # in one call (width >= 2n + 1) against rows read many times.
     p = preset_params("apq_dk", alpha=0.8, p=0.7, q=0.6)
     results = []
     for block in (simulate._BLOCK, 3, 7, 64):
-        monkeypatch.setattr(simulate, "_BLOCK", block)
-        blocks = list(simulate.iter_final_states(40, 120, p, 17, mode=mode))
-        results.append([(b.start, b.x.tolist(), b.u.tolist(), b.jumps.tolist(),
-                         None if b.absorption_time is None else b.absorption_time.tolist())
-                        for b in blocks])
+        for width in (None,) + WIDTHS:
+            monkeypatch.setattr(simulate, "_BLOCK", block)
+            if width is not None:
+                monkeypatch.setattr(simulate, "_window_width", lambda n, live, width=width: width)
+            blocks = list(simulate.iter_final_states(40, 120, p, 17, mode=mode))
+            monkeypatch.undo()
+            results.append([(b.start, b.x.tolist(), b.u.tolist(), b.jumps.tolist(),
+                             None if b.absorption_time is None else b.absorption_time.tolist())
+                            for b in blocks])
     assert all(r == results[0] for r in results)
 
 
