@@ -18,7 +18,8 @@ class NoBracket(RumourError):
     at the smallest normal float (x_inf underflows; gamma small against
     delta) or not positive at its maximiser (delta/gamma below about 1e-15,
     where x_inf lies within twenty doubles of 1).  The closed forms raise
-    it too when x_inf underflows or rounds to 1."""
+    it too when x_inf underflows, where f is not positive at the maximiser
+    (the bisection's own test), and where x_inf rounds to 1."""
 
 
 class NotApplicable(RumourError):

@@ -221,16 +221,6 @@ def _lambert_w(z: float, branch: int, p2: float | None = None) -> tuple[float, i
     return _halley(z, w)
 
 
-def lambert_w0(z: float) -> float:
-    """Principal real branch (W0 >= -1) of the inverse of w * exp(w)."""
-    return _lambert_w(z, 0)[0]
-
-
-def lambert_wm1(z: float) -> float:
-    """Lower real branch (W-1 <= -1), defined on [-1/e, 0)."""
-    return _lambert_w(z, -1)[0]
-
-
 def x_infinity_closed_form(p: ModelParams) -> LimitResult:
     """Closed-form limiting fraction, available at theta in {0, 1/2, 1}.
 
@@ -241,8 +231,9 @@ def x_infinity_closed_form(p: ModelParams) -> LimitResult:
         theta = 1/2  x = (gamma / (gamma + delta))**2
 
     Raises NotApplicable for any other theta, and NoBracket when x lies
-    below the normal float range or rounds to 1 (delta/gamma below about
-    1e-16), as solve_x_infinity does.
+    below the normal float range, or where solve_x_infinity finds no
+    bracket near 1: f not positive at the bracket's top (delta/gamma below
+    about 1e-15), or x rounding to 1.
     """
     g, d = p.gamma, p.delta
     th = p.theta
@@ -271,13 +262,14 @@ def x_infinity_closed_form(p: ModelParams) -> LimitResult:
         raise NotApplicable(f"no closed form at theta = {th}")
     if not x >= sys.float_info.min:
         raise _underflow(p)
-    if not x < 1.0:
-        raise NoBracket(f"x_inf rounds to 1 for {p}")
+    f, top = _target(p)
+    if not (f(top) > 0.0 and x < 1.0):
+        raise NoBracket(f"x_inf lies too close to 1 to bracket for {p}")
     return LimitResult(
         x_inf=x,
         u_inf=u_infinity(d, x),
         method=method,
-        residual=abs(f_theta_eval(x, p)),
+        residual=abs(f(x)),
         iterations=iters,
     )
 

@@ -35,7 +35,8 @@ fixed cost per call, not arithmetic, sets its price however few rows are
 live.  When few rows are live the kernel therefore walks windows: each
 round of calls moves every row by up to a thousand jumps, guessing the
 window's moves and correcting them from the states they lead through
-until none changes, which gives the step's bits (see _chunk_kernel).  A
+until none changes, which gives the step's bits (see _chunk_kernel).
+The step and the windows read each move from one table of (dx, dy).  A
 dk replication at N = 10^4 takes about 0.95 ms, against 1.28 ms one step
 at a time, and four at N = 10^6 take about 1.3 s, against 38.6 s.
 
@@ -84,10 +85,10 @@ _WINDOW_CELLS = 12288
 EXACT_N_MAX = 60
 
 
-# The change in y under move k = a + b + c, and under k = a + c when
-# delta = 1 (see _chunk_kernel).
-_DY = np.array([-1.0, -2.0, 0.0, 1.0])
-_DY_DELTA1 = np.array([-1.0, -2.0, 1.0])
+# The moves' (dx, dy), row k for the move code k = a + b + c (see
+# _chunk_kernel): w3 (y - 1), w2 (y - 2), w1 (x - 1, u + 1) and w0
+# (x - 1, y + 1).  With delta = 1, k = a + c codes rows 0, 1 and 3.
+_MOVES = np.array([(0.0, -1.0), (0.0, -2.0), (-1.0, 0.0), (-1.0, 1.0)])
 # A window packs each move's (dx, dy) into dy + _PACK * dx.
 _PACK = float(1 << 20)
 
@@ -128,21 +129,25 @@ def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
     is written for few calls: ufuncs write into buffers sliced to the live
     rows, the model's coefficients are 0-d arrays and those of exactly 1
     or a theta2 of 0 are folded out, the thresholds are summed in place,
-    the move is one int8 number, and a column of uniforms is a view until
-    a row of its block absorbs.  With delta = 1 the step drops the w1
-    threshold and the w0 count, and w1 is one fill, about 19 calls in all
-    for dk against about 30 in general.
+    the move is one int8 code k, whose dy the step reads from _MOVES, and
+    a column of uniforms is a view until a row of its block absorbs.  With
+    delta = 1 the step drops the w1 threshold and the w0 count, and w1 is
+    one fill, about 19 calls in all for dk against about 30 in general.
 
     When _window_width(n, live) gives width > 1, a window advances every
     live row by width jumps, or to its absorption, in a few rounds of
     those calls on live x (width + 1) grids.  It guesses every move from
     the row's state at the window's start, rebuilds the states the moves
-    lead through as exact prefix sums of their packed (dx, dy), recomputes
-    every move from those states, and repeats on the rows whose moves
-    changed before they absorb.  Move j is right once moves 0 ... j - 1
-    are, so each round settles at least one more jump, and a row whose
-    moves a round leaves unchanged has walked the very states and
-    thresholds of the single step: the same bits from the same uniforms.
+    lead through as exact prefix sums of their codes, dy + _PACK * dx read
+    from _MOVES by k, recomputes every move from those states, and repeats
+    on the rows whose moves changed before they absorb.  Move j is right
+    once moves 0 ... j - 1 are, so each round settles at least one more
+    jump.  A code is a function of k alone, so a row whose moves a round
+    leaves unchanged up to its absorption, or the window's end, has walked
+    the very states and thresholds of the single step: the same bits from
+    the same uniforms.  Past its absorption the states are junk and the
+    flags need not be in order, but each k still reads some code, and no
+    output reads them.
     A window ends before the last column of its block of uniforms.  In a
     dk chunk of 209 rows at N = 10^4, a window of 58 jumps takes about
     0.6 ms in 2.1 rounds on average, where 58 steps take about 1.3 ms
@@ -159,7 +164,8 @@ def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
     # is flag a, x falls on a, and rec = n - x, so u = 0 and rec is not
     # kept.
     delta1 = params.delta == 1.0
-    dys = _DY_DELTA1 if delta1 else _DY
+    dxs, dys = (_MOVES[[0, 1, 3]] if delta1 else _MOVES).T.copy()
+    codes = dys + _PACK * dxs
     x = np.full(rows, float(n))
     rec = np.zeros(rows)
     y = np.ones(rows)
@@ -199,8 +205,8 @@ def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
 
     def count(f8, k):
         # Nondecreasing thresholds: a implies b implies c, so k = a + b + c
-        # is 3 on a, (x-1, y+1); 2 on b ^ a, (x-1, u+1); 1 on c ^ b, y-2;
-        # and 0 on ~c, y-1.  With delta = 1, b is a and k = a + c is 2 on
+        # is 3 on a (w0), 2 on b ^ a (w1), 1 on c ^ b (w2) and 0 on ~c (w3),
+        # the rows of _MOVES.  With delta = 1, b is a and k = a + c is 2 on
         # a, 1 on c ^ a and 0 on ~c.
         if delta1:
             return np.add(f8[0], f8[2], out=k)
@@ -225,19 +231,10 @@ def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
             # jump j, or the state before it
             return pool[..., :r * (width + 1)].reshape(pool.shape[:-1] + (r, width + 1))
 
-        def pack(f, packed):
-            # packed[:, j] sums dy + _PACK * dx over the moves before jump
-            # j; flat, each flag row of f is one cell behind packed.  The
-            # move's code is -1 (w3), -2 on c (w2), -_PACK on b (w1) and
-            # 1 - _PACK on a (w0), as a makes b and c true and b makes c.
-            codes, (a, b, c) = packed.ravel()[1:], f.reshape(3, -1)[:, :-1]
-            if delta1:
-                np.multiply(a, 3.0 - _PACK, out=codes)
-            else:
-                np.multiply(b, 2.0 - _PACK, out=codes)
-                codes += a
-            codes -= c
-            codes -= 1.0
+        def pack(k, packed):
+            # packed[:, j] sums the codes of the moves k before jump j;
+            # flat, k is one cell behind packed
+            codes.take(k.ravel()[:-1], out=packed.ravel()[1:], mode="clip")
             packed[:, 0] = 0.0
             np.cumsum(packed, axis=1, out=packed)
 
@@ -247,7 +244,7 @@ def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
         np.multiply(sel[:, cols] if pos is None else sel[pos, cols], wsum, out=v)
         flag(v, w0, c1, c2, f)
         k = count(f.view(np.int8), grid(wmoves[0], size))
-        pack(f, grid(walks[1], size))
+        pack(k, grid(walks[1], size))
         # The rows still walked, their places among the window's rows and
         # in the blocks, and their states at its start; each row's state
         # after its last jump, and its moves and weights, once settled.
@@ -264,15 +261,10 @@ def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
             ys -= np.multiply(xs, _PACK, out=out[5])
             ys += y0[:, None]
             xs += x0[:, None]
-            # the single step's arithmetic at every jump's state; where the
-            # states are not the chain's, the thresholds need not be in
-            # order, so make a imply b imply c before counting
+            # the single step's arithmetic at every jump's state
             w0, c1, c2, wsum = thresholds(xs, ys, out)
             v = np.multiply(sel[:, cols] if at is None else sel[at, cols], wsum, out=out[4])
             flag(v, w0, c1, c2, f)
-            if not delta1:
-                np.logical_or(f[1], f[0], out=f[1])
-            np.logical_or(f[2], f[0] if delta1 else f[1], out=f[2])
             new = count(f.view(np.int8), grid(wmoves[1], r))
             # A row is settled when no move changed up to its absorption,
             # or the window's end: its walked states are then the chain's.
@@ -297,7 +289,7 @@ def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
                 break
             act, x0, y0, k = act[moved], x0[moved], y0[moved], new[moved]
             at = act if pos is None else pos[act]
-            pack(f[:, moved], grid(walks[1], act.size))
+            pack(k, grid(walks[1], act.size))
         else:
             raise AssertionError("a window of the lockstep kernel did not settle")
         x[:], y[:] = ends

@@ -86,6 +86,19 @@ MUTANTS = {
     "window: one jump past absorption counted": (
         "src/rumour/simulate.py", "np.less(np.arange(width), taken[:, None]",
         "np.less_equal(np.arange(width), taken[:, None]"),
+    "move table: w0 and w1 swapped": (
+        "src/rumour/simulate.py", "(-1.0, 0.0), (-1.0, 1.0)", "(-1.0, 1.0), (-1.0, 0.0)"),
+    "kappa: theta1 and theta2 weights swapped": (
+        "src/rumour/clt.py", "kappa = 3.0 * p.theta1 + 2.0 * p.theta2 - 4.0 * g\n    a = x",
+        "kappa = 2.0 * p.theta1 + 3.0 * p.theta2 - 4.0 * g\n    a = x"),
+    "D: (gamma + delta theta)^3": (
+        "src/rumour/clt.py", "(g + d * th) ** 2", "(g + d * th) ** 3"),
+    "McStats: x . u for x . x": (
+        "src/rumour/simulate.py", "np.dot(x, x)", "np.dot(x, u)"),
+    "McStats: u . x for u . u": (
+        "src/rumour/simulate.py", "np.dot(u, u)", "np.dot(u, x)"),
+    "McStats: sum u for sum x": (
+        "src/rumour/simulate.py", "int(x.sum())", "int(u.sum())"),
 }
 
 

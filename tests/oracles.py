@@ -23,13 +23,13 @@ from scipy.stats import chi2 as _chi2_dist
 
 from rumour.clt import CovMatrix2
 from rumour.errors import NotApplicable
-from rumour.limits import lambert_w0, lambert_wm1
+from rumour.limits import _lambert_w
 from rumour.model import ModelParams, rate_weights
 from rumour.simulate import ExactDistribution, iter_final_states
 
 
 def _x_w0(h: float) -> float:
-    return -lambert_w0(-h * math.exp(-h)) / h
+    return -_lambert_w(-h * math.exp(-h), 0)[0] / h
 
 
 def sigma_closed_form(family: str, value: float | None = None) -> CovMatrix2:
@@ -52,7 +52,7 @@ def sigma_closed_form(family: str, value: float | None = None) -> CovMatrix2:
         return CovMatrix2(v, 0.0, 0.0)
     if family == "hayes":
         h = 2.0
-        x = -1.0 / (h * lambert_wm1(-math.exp(-1.0 / h) / h))
+        x = -1.0 / (h * _lambert_w(-math.exp(-1.0 / h) / h, -1)[0])
         v = x * (1.0 - x) * (1.0 - 3.0 * x + 3.0 * x * x) / (1.0 - 2.0 * x) ** 2
         return CovMatrix2(v, 0.0, 0.0)
     if family in ("11q_dk", "11q_mt"):

@@ -40,6 +40,10 @@ class TestLimit:
                                "--theta1", "0", "--theta2", "0", "--delta", "1")
         assert code == 2
         assert "theta" in err
+        code, _, err = run_cli(capsys, "limit", "--lambda", "1", "--gamma", "nan",
+                               "--theta1", "1", "--theta2", "0", "--delta", "1")
+        assert code == 2
+        assert "gamma must be finite" in err
 
     def test_small_root_to_relative_accuracy(self, capsys):
         # theta = 0, gamma = 0.01, delta = 1; closed form x_inf = 1.37e-44
@@ -55,9 +59,12 @@ class TestLimit:
         assert "underflows" in err
 
     def test_requires_complete_parameters(self, capsys):
-        code, _, err = run_cli(capsys, "limit", "--lambda", "1")
-        assert code == 2
-        assert "--gamma" in err
+        for argv, msg in ((("--lambda", "1"), "--gamma"),
+                          ((), "either --preset or the five"),
+                          (("--preset", "rho"), "needs --rho")):
+            code, _, err = run_cli(capsys, "limit", *argv)
+            assert code == 2, argv
+            assert msg in err
 
     def test_preset_conflicts_with_explicit(self, capsys):
         code, _, err = run_cli(capsys, "limit", "--preset", "dk", "--delta", "0.5")
@@ -264,10 +271,20 @@ class TestConfigAndOutput:
 
     def test_bad_config_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "bad.json"
-        cfg.write_text("[1, 2]")
-        code, _, err = run_cli(capsys, "limit", "--config", str(cfg))
+        cases = [
+            ("limit", "[1, 2]", "expected a JSON object"),
+            ("limit", '{"preset": "nope"}', "--preset 'nope' unknown"),
+            ("limit", "{not json", "Expecting property name"),
+            ("simulate", '{"preset": "dk", "n": 5, "mode": "bogus"}', "--mode must be one of"),
+        ]
+        for cmd, text, msg in cases:
+            cfg.write_text(text)
+            code, _, err = run_cli(capsys, cmd, "--config", str(cfg))
+            assert code == 2, text
+            assert msg in err, text
+        code, _, err = run_cli(capsys, "limit", "--config", str(tmp_path / "missing.json"))
         assert code == 2
-        assert "config" in err
+        assert "No such file" in err
 
     def test_non_numeric_config_value_exits_2(self, capsys, tmp_path):
         cases = [

@@ -76,6 +76,10 @@ class TestRunOne:
             first_replication(0, p, seed=1)
         with pytest.raises(ValueError):
             next(iter_final_states(5, 1, p, 1, mode="fast"))
+        with pytest.raises(ValueError, match="reps"):
+            next(iter_final_states(5, -1, p, 1))
+        with pytest.raises(ValueError, match="population"):
+            exact_final_distribution(0, p)
 
 
 class TestModesAndLambda:
