@@ -210,6 +210,9 @@ def cmd_fluid(ns, settings, params, header) -> tuple[int, str]:
         raise UsageError("--points must be >= 2")
     if ns.t_max is not None and not (math.isfinite(ns.t_max) and ns.t_max >= 0):
         raise UsageError(f"--t-max must be finite and >= 0, got {ns.t_max}")
+    if ns.t_max is not None and params.theta == 0.0 and math.exp(-params.lam * ns.t_max) == 0.0:
+        raise UsageError(f"--t-max {ns.t_max} takes x = exp(-lambda t) to 0, "
+                         "where f is undefined at theta = 0")
     t_inf = clt_mod.t_infinity(params, limits_mod.solve_x_infinity(params))
     grid = np.linspace(0.0, t_inf if ns.t_max is None else ns.t_max, ns.points)
     points = clt_mod.fluid_trajectory(grid, params)

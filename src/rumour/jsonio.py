@@ -93,17 +93,6 @@ def _list(obj, level: int) -> str:
 
 
 def _render(obj, level: int) -> str:
-    # exact built-in types first; subclasses (bool among them), numpy
-    # scalars, str and None take the isinstance chain
-    t = type(obj)
-    if t is float:
-        return _float(obj)
-    if t is int:
-        return str(obj)
-    if t is dict:
-        return _dict(obj, level)
-    if t is list or t is tuple:
-        return _list(obj, level)
     if isinstance(obj, dict):
         return _dict(obj, level)
     if isinstance(obj, (list, tuple)):

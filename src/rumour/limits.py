@@ -86,11 +86,15 @@ def _q(t: float, x: float, log_x: float) -> float:
 def _target(p: ModelParams):
     """(f, bracket top) for any theta in [0, 1].
 
-    f is defined on (0, 1]; for theta > 0 it takes its limit -gamma/theta
-    at x = 0.  The bracket top is the maximiser ((gamma + delta*theta)/
-    (gamma + delta))**(1/(1 - theta)) = (1 - r*(1 - theta))**(1/(1 - theta))
-    with r = delta/(gamma + delta): pow is exact at theta = 0, log1p keeps
-    the digits as theta nears 1, and at theta = 1 it is exp(-r).
+    f is the final-size function: one formula for every theta in [0, 1],
+    equal to f0 and f1 at the ends.  It is defined on (0, 1]; for
+    theta > 0 it takes its limit -gamma/theta at x = 0.  It raises
+    DomainError for x < 0, and for x = 0 at theta = 0.
+
+    The bracket top is the maximiser ((gamma + delta*theta)/(gamma +
+    delta))**(1/(1 - theta)) = (1 - r*(1 - theta))**(1/(1 - theta)) with
+    r = delta/(gamma + delta): pow is exact at theta = 0, log1p keeps the
+    digits as theta nears 1, and at theta = 1 it is exp(-r).
     """
     g, d = p.gamma, p.delta
     th = p.theta
@@ -112,13 +116,6 @@ def _target(p: ModelParams):
     else:
         top = math.exp(-r)
     return f, top
-
-
-def f_theta_eval(x: float, p: ModelParams) -> float:
-    """The final-size function f at x: one formula for every theta in
-    [0, 1], equal to f0 and f1 at the ends.  Raises DomainError for x < 0,
-    and for x = 0 at theta = 0."""
-    return _target(p)[0](x)
 
 
 def _underflow(p: ModelParams) -> NoBracket:

@@ -33,9 +33,9 @@ numpy calls for the classical presets (dk, mt, hayes) and about 30 in
 general, each writing into buffers allocated once per chunk, so numpy's
 fixed cost per call, not arithmetic, sets its price however few rows are
 live.  When few rows are live the kernel therefore walks windows: each
-round of calls moves every row by up to a thousand jumps, guessing the
-window's moves and correcting them from the states they lead through
-until none changes, which gives the step's bits (see _chunk_kernel).
+round of calls moves every row by up to a thousand jumps in new arrays,
+guessing the window's moves and correcting them from the states they
+lead through until none changes: the step's bits (see _chunk_kernel).
 The step and the windows read each move from one table of (dx, dy).  A
 dk replication at N = 10^4 takes about 0.95 ms, against 1.28 ms one step
 at a time, and four at N = 10^6 take about 1.3 s, against 38.6 s.
@@ -109,7 +109,7 @@ def _window_width(n: int, live: int) -> int:
     at up to 128 live rows at every n from 200 to 10^5 and at 209-256 rows
     from n = 5000 on, and lose at 256 rows for n <= 1000 and at 384 rows
     and more.  Below _WINDOW_N they gain little (1.2x at 128 rows and
-    n = 200, against 1.6x at n = 2000) for the memory their grids add to
+    n = 200, against 1.6x at n = 2000) for the memory their arrays add to
     the tail of every chunk."""
     if n < _WINDOW_N or live > max(_WINDOW_ROWS, n // _WINDOW_SPAN):
         return 1
@@ -136,13 +136,13 @@ def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
 
     When _window_width(n, live) gives width > 1, a window advances every
     live row by width jumps, or to its absorption, in a few rounds of
-    those calls on live x (width + 1) grids.  It guesses every move from
-    the row's state at the window's start, rebuilds the states the moves
-    lead through as exact prefix sums of their codes, dy + _PACK * dx read
-    from _MOVES by k, recomputes every move from those states, and repeats
-    on the rows whose moves changed before they absorb.  Move j is right
-    once moves 0 ... j - 1 are, so each round settles at least one more
-    jump.  A code is a function of k alone, so a row whose moves a round
+    those calls, each on new arrays of its rows by width + 1 columns.  It
+    guesses every move from the row's state at the window's start,
+    rebuilds the states the moves lead through as exact prefix sums of
+    their codes, dy + _PACK * dx read from _MOVES by k, recomputes every
+    move from those states, and repeats on the rows whose moves changed
+    before they absorb.  Move j is right once moves 0 ... j - 1 are, so
+    each round settles at least one more jump.  A code is a function of k alone, so a row whose moves a round
     leaves unchanged up to its absorption, or the window's end, has walked
     the very states and thresholds of the single step: the same bits from
     the same uniforms.  Past its absorption the states are junk and the
@@ -174,11 +174,6 @@ def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
     lam = np.array(params.lam)
     # Every step writes into these, sliced to the live rows when they change.
     floats, flags, moves = np.empty((9, rows)), np.empty((3, rows), bool), np.empty(rows, np.int8)
-    # Every window writes into buffers of this many cells per row, viewed
-    # as grids of its rows and made at the chunk's first window; a window
-    # is at most as wide as they hold.
-    cells = min(_WINDOW_CELLS, rows * _BLOCK) + rows
-    wfloats = walks = wflags = wmoves = None
 
     def buffers(size):
         *scratch, v, h, dy = floats[:, :size]
@@ -217,65 +212,55 @@ def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
     def window(sel, hold, col, pos, width):
         """Advance each live row width jumps, or to its absorption, from
         column col of the blocks; return each row's jumps taken."""
-        nonlocal wfloats, walks, wflags, wmoves
-        if wfloats is None:
-            wfloats, walks = np.empty((7, cells)), np.empty((2, cells))
-            wflags, wmoves = np.empty((5, cells), bool), np.empty((3, cells), np.int8)
         size = live.size
         # one column more than the window: the flags of the state after
         # its last jump are computed, and never read
         cols = slice(col, col + width + 1)
 
-        def grid(pool, r):
-            # each row of pool as r rows of width + 1 cells: column j is
-            # jump j, or the state before it
-            return pool[..., :r * (width + 1)].reshape(pool.shape[:-1] + (r, width + 1))
+        def step_at(xs, ys, at):
+            # the single step's arithmetic at the states xs, ys, column j
+            # the state before jump j: each jump's move code and total weight
+            w0, c1, c2, wsum = thresholds(xs, ys, np.empty((6,) + xs.shape))
+            v = np.multiply(sel[:, cols] if at is None else sel[at, cols], wsum)
+            f = np.empty((3,) + v.shape, bool)
+            flag(v, w0, c1, c2, f)
+            return count(f.view(np.int8), np.empty(v.shape, np.int8)), wsum
 
-        def pack(k, packed):
-            # packed[:, j] sums the codes of the moves k before jump j;
-            # flat, k is one cell behind packed
+        def pack(k):
+            # column j sums the codes of the moves k before jump j; flat, k
+            # is one cell behind packed
+            packed = np.empty(k.shape)
             codes.take(k.ravel()[:-1], out=packed.ravel()[1:], mode="clip")
             packed[:, 0] = 0.0
-            np.cumsum(packed, axis=1, out=packed)
+            return np.cumsum(packed, axis=1, out=packed)
 
         # The guess: every move from the row's state at the window's start.
-        w0, c1, c2, wsum = (w[:, None] for w in thresholds(x, y, scratch))
-        f, v = grid(wflags[:3], size), grid(wfloats[4], size)
-        np.multiply(sel[:, cols] if pos is None else sel[pos, cols], wsum, out=v)
-        flag(v, w0, c1, c2, f)
-        k = count(f.view(np.int8), grid(wmoves[0], size))
-        pack(k, grid(walks[1], size))
+        k = step_at(x[:, None], y[:, None], pos)[0]
         # The rows still walked, their places among the window's rows and
         # in the blocks, and their states at its start; each row's state
         # after its last jump, and its moves and weights, once settled.
         act, at, x0, y0 = np.arange(size), pos, x, y
         taken, ends = np.empty(size, np.int64), np.empty((2, size))
-        settled, wsums = grid(wmoves[2], size), grid(wfloats[6], size)
+        settled, wsums = np.empty((size, width + 1), np.int8), np.empty((size, width + 1))
         # Each round settles at least one more jump of every row it walks.
         for _ in range(width + 1):
-            r = act.size
             # |sum dy| <= 2 width < _PACK / 2, so rounding splits the packed
             # sums exactly into xs and ys, the states before each jump
-            out, (xs, ys), f = grid(wfloats[:6], r), grid(walks, r), grid(wflags[:3], r)
-            np.rint(np.multiply(ys, 1.0 / _PACK, out=xs), out=xs)
-            ys -= np.multiply(xs, _PACK, out=out[5])
+            ys = pack(k)
+            xs = np.rint(ys * (1.0 / _PACK))
+            ys -= xs * _PACK
             ys += y0[:, None]
             xs += x0[:, None]
-            # the single step's arithmetic at every jump's state
-            w0, c1, c2, wsum = thresholds(xs, ys, out)
-            v = np.multiply(sel[:, cols] if at is None else sel[at, cols], wsum, out=out[4])
-            flag(v, w0, c1, c2, f)
-            new = count(f.view(np.int8), grid(wmoves[1], r))
+            new, wsum = step_at(xs, ys, at)
             # A row is settled when no move changed up to its absorption,
             # or the window's end: its walked states are then the chain's.
             # After its absorption they are junk.  last is the jump after
             # which y is 0, or the window's last jump, and the first
             # changed move is found past the window's end if none changed.
-            hit, diff = grid(wflags[3], r), grid(wflags[4], r)
-            np.equal(ys.ravel()[1:], 0.0, out=hit.ravel()[:-1])
-            hit[:, -2] = True
+            hit = ys[:, 1:] == 0
+            hit[:, -1] = True
             last = hit.argmax(axis=1)
-            np.not_equal(new, k, out=diff)
+            diff = new != k
             diff[:, -1] = True
             moved = np.less_equal(diff.argmax(axis=1), last)
             done = ~moved
@@ -289,13 +274,12 @@ def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
                 break
             act, x0, y0, k = act[moved], x0[moved], y0[moved], new[moved]
             at = act if pos is None else pos[act]
-            pack(k, grid(walks[1], act.size))
         else:
             raise AssertionError("a window of the lockstep kernel did not settle")
         x[:], y[:] = ends
-        valid = np.less(np.arange(width), taken[:, None], out=grid(wflags[3], size)[:, :-1])
+        valid = np.less(np.arange(width), taken[:, None])
         if not delta1:
-            recruits = np.equal(settled[:, :-1], 3, out=grid(wflags[0], size)[:, :-1])
+            recruits = settled[:, :-1] == 3
             rec[:] += np.logical_and(recruits, valid, out=recruits).sum(axis=1)  # k = 3: w0
         if hold is not None:
             # t - q is t + (-q) to the bit: add the negated holding times of
@@ -303,9 +287,8 @@ def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
             cols = slice(col, col + width)
             h = (hold[:, cols] if pos is None else hold[pos, cols])[valid]
             logs = np.fromiter(map(math.log1p, np.negative(h, out=h).tolist()), float, h.size)
-            ts = grid(walks[0], size)
+            ts = np.zeros((size, width + 1))
             ts[:, 0] = t
-            ts[:, 1:] = 0.0
             den = np.multiply(-lam, wsums[:, :-1][valid], out=h)
             ts[:, 1:][valid] = np.divide(logs, den, out=h)
             t[:] = np.add.accumulate(ts, axis=1, out=ts)[:, -1]
@@ -319,7 +302,7 @@ def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
         if not col:
             sel, hold = read(live, step)
             pos = None  # the live rows are the blocks' rows until one absorbs
-        width = min(_window_width(n, live.size), sel.shape[1] - col - 1, cells // live.size - 1)
+        width = min(_window_width(n, live.size), sel.shape[1] - col - 1)
         if width > 1:
             jumps = step + window(sel, hold, col, pos, width)
             step += width

@@ -83,6 +83,11 @@ MUTANTS = {
     "window: converged when the first jump is": (
         "src/rumour/simulate.py", "np.less_equal(diff.argmax(axis=1), last)",
         "np.less_equal(diff.argmax(axis=1), 0)"),
+    "window: absorption read one jump early": (
+        "src/rumour/simulate.py", "ys[:, 1:] == 0", "ys[:, :-1] == 0"),
+    "JSON: a Python bool rendered as an int": (
+        "src/rumour/jsonio.py", "isinstance(obj, bool) or isinstance(obj, np.bool_)",
+        "isinstance(obj, np.bool_)"),
     "window: one jump past absorption counted": (
         "src/rumour/simulate.py", "np.less(np.arange(width), taken[:, None]",
         "np.less_equal(np.arange(width), taken[:, None]"),

@@ -130,7 +130,7 @@ class TestFluid:
 
 
     def test_bad_t_max_exits_2(self, capsys):
-        for t_max in ("-1", "nan", "inf"):
+        for t_max in ("-1", "nan", "inf", "800"):
             code, out, err = run_cli(capsys, "fluid", "--preset", "dk", "--t-max", t_max)
             assert code == 2, t_max
             assert out == ""

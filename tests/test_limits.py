@@ -9,7 +9,6 @@ import scipy.special
 from conftest import random_params, rng_for
 from rumour.errors import DomainError, NoBracket, NotApplicable, RumourError
 from rumour.limits import (
-    f_theta_eval,
     solve_x_infinity,
     theta_branch,
     u_infinity,
@@ -76,17 +75,17 @@ class TestFFunctions:
         rng = rng_for("f-at-one")
         for _ in range(100):
             p = random_params(rng, theta=float(rng.uniform(0.01, 0.99)))
-            assert abs(f_theta_eval(1.0, p)) <= 1e-13 * max(1.0, p.gamma + p.delta)
+            assert abs(_target(p)[0](1.0)) <= 1e-13 * max(1.0, p.gamma + p.delta)
 
     def test_f_at_zero_is_minus_gamma_over_theta(self):
         for theta in (0.4, 1.0):
             p = params_theta(gamma=1.3, delta=0.7, theta=theta)
-            assert math.isclose(f_theta_eval(0.0, p), -1.3 / theta, rel_tol=1e-12)
-            assert f_theta_eval(0.0, p) < 0
+            assert math.isclose(_target(p)[0](0.0), -1.3 / theta, rel_tol=1e-12)
+            assert _target(p)[0](0.0) < 0
 
     def test_f_quarter_root_at_theta_half(self):
         p = params_theta(gamma=1.0, delta=1.0, theta=0.5)
-        assert abs(f_theta_eval(0.25, p)) <= 1e-14
+        assert abs(_target(p)[0](0.25)) <= 1e-14
 
     def test_f0_f1_vanish_at_one(self):
         rng = rng_for("f01-at-one")
@@ -94,24 +93,24 @@ class TestFFunctions:
             p = random_params(rng)
             for th in (0.0, 1.0):
                 q = params_theta(gamma=p.gamma, delta=p.delta, theta=th)
-                assert f_theta_eval(1.0, q) == 0.0
+                assert _target(q)[0](1.0) == 0.0
 
     def test_f0_near_printed_root(self):
         p = preset_params("dk")
-        assert abs(f_theta_eval(X_INF_RHO, p)) <= 5e-6
+        assert abs(_target(p)[0](X_INF_RHO)) <= 5e-6
 
     def test_f1_near_printed_root(self):
         p = preset_params("hayes")
-        assert abs(f_theta_eval(X_INF_HAYES, p)) <= 5e-6
+        assert abs(_target(p)[0](X_INF_HAYES)) <= 5e-6
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            f_theta_eval(0.0, preset_params("dk"))
+            _target(preset_params("dk"))[0](0.0)
         for theta in (0.0, 0.5, 1.0):
             with pytest.raises(DomainError):
-                f_theta_eval(-0.5, params_theta(gamma=1.0, delta=1.0, theta=theta))
+                _target(params_theta(gamma=1.0, delta=1.0, theta=theta))[0](-0.5)
             with pytest.raises(DomainError):
-                f_theta_eval(-5e-324, params_theta(gamma=1.0, delta=1.0, theta=theta))
+                _target(params_theta(gamma=1.0, delta=1.0, theta=theta))[0](-5e-324)
 
 
 class TestArgmax:
@@ -163,8 +162,9 @@ class TestSolver:
             assert lim.u_inf == (1.0 - d) * (1.0 - x)
             # x and a neighbouring float bracket the sign change of f
             lo, hi = math.nextafter(x, 0.0), math.nextafter(x, 1.0)
-            fx = f_theta_eval(x, p)
-            assert f_theta_eval(lo, p) < 0.0 <= fx or fx < 0.0 <= f_theta_eval(hi, p)
+            f = _target(p)[0]
+            fx = f(x)
+            assert f(lo) < 0.0 <= fx or fx < 0.0 <= f(hi)
 
     def test_boundary_theta_sweep(self):
         rng = rng_for("solver-boundary")
@@ -186,7 +186,8 @@ class TestSolver:
         for theta, gamma in ((0.02, 0.02), (0.05, 0.01), (0.3, 0.01), (0.5, 0.001)):
             p = params_theta(gamma=gamma, delta=1.0, theta=theta)
             x = solve_x_infinity(p).x_inf
-            assert f_theta_eval(x * (1 - 1e-9), p) < 0.0 < f_theta_eval(x * (1 + 1e-9), p)
+            f = _target(p)[0]
+            assert f(x * (1 - 1e-9)) < 0.0 < f(x * (1 + 1e-9))
 
     @pytest.mark.parametrize("theta", [0.0, 1.0])
     @pytest.mark.parametrize("delta", [1e-4, 1e-6, 1e-8])
