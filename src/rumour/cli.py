@@ -23,7 +23,6 @@ import argparse
 import contextlib
 import functools
 import json
-import math
 import os
 import stat
 import sys
@@ -208,13 +207,12 @@ def cmd_clt(ns, settings, params, header) -> tuple[int, str]:
 def cmd_fluid(ns, settings, params, header) -> tuple[int, str]:
     if ns.points < 2:
         raise UsageError("--points must be >= 2")
-    if ns.t_max is not None and not (math.isfinite(ns.t_max) and ns.t_max >= 0):
-        raise UsageError(f"--t-max must be finite and >= 0, got {ns.t_max}")
-    if ns.t_max is not None and params.theta == 0.0 and math.exp(-params.lam * ns.t_max) == 0.0:
-        raise UsageError(f"--t-max {ns.t_max} takes x = exp(-lambda t) to 0, "
-                         "where f is undefined at theta = 0")
     t_inf = clt_mod.t_infinity(params, limits_mod.solve_x_infinity(params))
-    grid = np.linspace(0.0, t_inf if ns.t_max is None else ns.t_max, ns.points)
+    # the fluid limit ends where y reaches 0, at t_inf; NaN fails both tests
+    t_max = t_inf if ns.t_max is None else ns.t_max
+    if not 0.0 <= t_max <= t_inf:
+        raise UsageError(f"--t-max must be in [0, t_inf = {t_inf!r}], got {t_max}")
+    grid = np.linspace(0.0, t_max, ns.points)
     points = clt_mod.fluid_trajectory(grid, params)
     if ns.format == "csv":
         lines = ["t,x,u,y"]
@@ -306,7 +304,7 @@ COMMANDS = {
                                "and report the max deviation")),)),
     "fluid": ("deterministic fluid trajectory", cmd_fluid, True, None, (
         ("--points", dict(type=int, default=101, help="grid points (default 101)")),
-        ("--t-max", dict(type=float, help="grid upper end (default: t_inf)")),
+        ("--t-max", dict(type=float, help="grid upper end (default and largest: t_inf)")),
         _FORMAT_FLAG)),
     "simulate": ("Monte Carlo simulation summary", cmd_simulate, True,
                  lambda given: _sim_config(given, 0), _SIM_FLAGS + (

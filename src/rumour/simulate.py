@@ -26,19 +26,18 @@ integers, so no floating-point reduction order can leak in.
 
 The kernel is a numpy lockstep walk: each step advances every live
 replication of a chunk by one jump, with weights from model.rate_weights,
-so each path is bit-identical to a one-row-at-a-time walk.  Holding times
-use math.log1p element by element, because numpy's vectorised log1p
-rounds differently in a few percent of draws.  A step makes about 19
-numpy calls for the classical presets (dk, mt, hayes) and about 30 in
-general, each writing into buffers allocated once per chunk, so numpy's
-fixed cost per call, not arithmetic, sets its price however few rows are
-live.  When few rows are live the kernel therefore walks windows: each
-round of calls moves every row by up to a thousand jumps in new arrays,
-guessing the window's moves and correcting them from the states they
-lead through until none changes: the step's bits (see _chunk_kernel).
-The step and the windows read each move from one table of (dx, dy).  A
-dk replication at N = 10^4 takes about 0.95 ms, against 1.28 ms one step
-at a time, and four at N = 10^6 take about 1.3 s, against 38.6 s.
+so each path is bit-identical to a one-row-at-a-time walk.  A step
+makes about 19 numpy calls for the classical presets (dk, mt, hayes) and
+about 30 in general, each writing into buffers allocated once per chunk,
+so numpy's fixed cost per call, not arithmetic, sets its price however
+few rows are live.  When few rows are live the kernel therefore walks
+windows: each round of calls moves every row by up to a thousand jumps
+in new arrays, guessing the window's moves and correcting them from the
+states they lead through until none changes: the step's bits (see
+_chunk_kernel).  The step and the windows read each move from one table
+of (dx, dy) and each holding time from one formula.  A dk replication
+at N = 10^4 takes about 0.95 ms, against 1.28 ms one step at a time, and
+four at N = 10^6 take about 1.3 s, against 38.6 s.
 
 For small populations an exact final-state distribution is available by
 propagating probability mass through the jump-chain DAG.
@@ -142,12 +141,14 @@ def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
     their codes, dy + _PACK * dx read from _MOVES by k, recomputes every
     move from those states, and repeats on the rows whose moves changed
     before they absorb.  Move j is right once moves 0 ... j - 1 are, so
-    each round settles at least one more jump.  A code is a function of k alone, so a row whose moves a round
-    leaves unchanged up to its absorption, or the window's end, has walked
-    the very states and thresholds of the single step: the same bits from
-    the same uniforms.  Past its absorption the states are junk and the
-    flags need not be in order, but each k still reads some code, and no
-    output reads them.
+    each round settles at least one more jump.  A code is a function of k
+    alone, so a row whose moves a round leaves unchanged up to its
+    absorption, or the window's end, has walked the very states and
+    thresholds of the single step: the same bits from the same uniforms.
+    Past its absorption the states are junk and the flags need not be in
+    order, but each k still reads some code, and no output reads them.  In
+    exact-time mode a last pass adds the jumps' holding times in order, by
+    the step's formula from the settled weights: the step's bits again.
     A window ends before the last column of its block of uniforms.  In a
     dk chunk of 209 rows at N = 10^4, a window of 58 jumps takes about
     0.6 ms in 2.1 rounds on average, where 58 steps take about 1.3 ms
@@ -171,7 +172,7 @@ def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
     y = np.ones(rows)
     t = np.zeros(rows)
     weights = rate_weights_fn(n, params)
-    lam = np.array(params.lam)
+    neg_lam = np.array(-params.lam)
     # Every step writes into these, sliced to the live rows when they change.
     floats, flags, moves = np.empty((9, rows)), np.empty((3, rows), bool), np.empty(rows, np.int8)
 
@@ -208,6 +209,13 @@ def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
         np.add(f8[0], f8[1], out=k)
         k += f8[2]
         return k
+
+    def holding(h, wsum, out):
+        # The holding times log1p(-h) / (-lambda wsum) of the jumps with
+        # uniforms h, through out (h or its size).  math.log1p, not np.log1p:
+        # numpy's SIMD log1p rounds differently in about 7 % of draws.
+        logs = np.fromiter(map(math.log1p, np.negative(h, out=out).tolist()), float, out.size)
+        return np.divide(logs, np.multiply(neg_lam, wsum, out=out), out=logs)
 
     def window(sel, hold, col, pos, width):
         """Advance each live row width jumps, or to its absorption, from
@@ -282,15 +290,13 @@ def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
             recruits = settled[:, :-1] == 3
             rec[:] += np.logical_and(recruits, valid, out=recruits).sum(axis=1)  # k = 3: w0
         if hold is not None:
-            # t - q is t + (-q) to the bit: add the negated holding times of
-            # the jumps walked, in jump order after the time so far
+            # the holding times of the jumps walked, added in jump order
+            # after the time so far
             cols = slice(col, col + width)
             h = (hold[:, cols] if pos is None else hold[pos, cols])[valid]
-            logs = np.fromiter(map(math.log1p, np.negative(h, out=h).tolist()), float, h.size)
             ts = np.zeros((size, width + 1))
             ts[:, 0] = t
-            den = np.multiply(-lam, wsums[:, :-1][valid], out=h)
-            ts[:, 1:][valid] = np.divide(logs, den, out=h)
+            ts[:, 1:][valid] = holding(h, wsums[:, :-1][valid], h)
             t[:] = np.add.accumulate(ts, axis=1, out=ts)[:, -1]
         return taken
 
@@ -309,11 +315,7 @@ def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
         else:
             w0, c1, c2, wsum = thresholds(x, y, scratch)
             if hold is not None:
-                # math.log1p, not np.log1p: numpy's SIMD log1p rounds
-                # differently in about 7 % of draws, moving times by an ulp.
-                np.negative(_column(hold, col, pos, h), out=h)
-                logs = np.fromiter(map(math.log1p, h.tolist()), float, live.size)
-                t -= np.divide(logs, np.multiply(lam, wsum, out=h), out=logs)
+                t += holding(_column(hold, col, pos, h), wsum, h)
             np.multiply(_column(sel, col, pos, v), wsum, out=v)
             step += 1
             jumps = step
@@ -639,9 +641,8 @@ def _mean_z(dev: float, var_theory: float, n: int, reps: int) -> float:
 def verify(stats: McStats, lim: LimitResult, sigma: CovMatrix2) -> VerificationReport:
     """Standardise the empirical means against (x_inf, u_inf) and compare
     the empirical covariance of the sqrt(N)-fluctuations entry-wise with
-    the theoretical Sigma."""
-    if stats.reps < 2:
-        raise ValueError("verification needs at least two replications")
+    the theoretical Sigma.  Fewer than two replications raise ValueError
+    in McStats.cov_sqrt_n."""
     emp = stats.cov_sqrt_n()
     n, r = stats.n, stats.reps
     checks = {}

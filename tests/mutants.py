@@ -104,6 +104,12 @@ MUTANTS = {
         "src/rumour/simulate.py", "np.dot(u, u)", "np.dot(u, x)"),
     "McStats: sum u for sum x": (
         "src/rumour/simulate.py", "int(x.sum())", "int(u.sum())"),
+    "fluid: --t-max bound at 2 t_inf": (
+        "src/rumour/cli.py", "t_max <= t_inf:", "t_max <= 2 * t_inf:"),
+    "exact oracle: w1 pull from the wrong u": (
+        "src/rumour/simulate.py", "two[t, :-1]", "two[t, 1:]"),
+    "holding time: sign of lambda": (
+        "src/rumour/simulate.py", "np.array(-params.lam)", "np.array(params.lam)"),
 }
 
 

@@ -8,7 +8,9 @@ with the bracketed solver or the general constants.
 A Pearson chi-square test compares Monte Carlo final-state histograms
 with the exact small-N distribution of rumour.simulate, and a
 slice-by-slice walk of the jump-chain DAG is the bit-level reference for
-that distribution.  A scalar evaluation of the transition weights is the
+that distribution.  The leading term of the minor-outbreak probability
+is a seed-free, closed-form check of the exact law's atom near X = N.
+A scalar evaluation of the transition weights is the
 bit-level reference for rumour.model.rate_weights.  A recursive JSON
 renderer is the byte-level reference for rumour.jsonio.dumps.
 """
@@ -164,6 +166,25 @@ def exact_probs_by_slices(n: int, params: ModelParams) -> np.ndarray:
             cur[1:top + 1, 1:] = p1[:, None] * live[:, :-1]
             cur[2:top + 2] += p0[:, None] * live
     return probs
+
+
+def minor_outbreak_leading(p: ModelParams) -> float:
+    """lim N * p_minor(N) = theta1 / (2 delta) + gamma (1 - delta) / delta^2,
+    where p_minor is the probability that the rumour dies while almost
+    everyone is still ignorant.
+
+    While X = N - O(1), each jump is a w0 (probability delta) or a w1
+    (1 - delta), up to O(1/N).  A first-order extinction is one O(1/N)
+    event that takes Y to 0, and there are two routes to it:
+    - at Y = 1 after k w1 moves, w3 = gamma k against a total of about N;
+      Y = 1 spends one jump at each k and reaches k with probability
+      (1 - delta)^k, which sums to gamma (1 - delta) / (delta^2 N);
+    - at Y = 2, w2 = theta1 (both stop) against a total of about 2N, over
+      1 / delta expected jumps, which gives theta1 / (2 delta N).
+    Every other route needs two such events, which makes it O(1/N^2); so
+    mt (theta1 = 0, delta = 1) has almost no atom.
+    """
+    return p.theta1 / (2.0 * p.delta) + p.gamma * (1.0 - p.delta) / p.delta**2
 
 
 def rate_weights_reference(x, y, n: int, p) -> tuple[float, float, float, float]:

@@ -128,13 +128,30 @@ class TestFluid:
         assert len(lines) == 6
         assert lines[1].startswith("0,1,0,")
 
+    # the explicit interior point (theta = 0.24) of tests/test_golden.py
+    EXPLICIT = ("--lambda", "0.7", "--gamma", "0.8", "--theta1", "0.832", "--theta2", "0.208",
+                "--delta", "0.6")
 
     def test_bad_t_max_exits_2(self, capsys):
-        for t_max in ("-1", "nan", "inf", "800"):
-            code, out, err = run_cli(capsys, "fluid", "--preset", "dk", "--t-max", t_max)
-            assert code == 2, t_max
+        t_inf = run_json(capsys, "fluid", "--points", "2", *self.EXPLICIT)["t_inf"]
+        cases = [("--preset", "dk", t) for t in ("-1", "nan", "inf", "800")]
+        # past t_inf y turns negative: at theta = 1, and 1 % past an
+        # interior point's t_inf
+        cases += [("--preset", "hayes", "800"), (*self.EXPLICIT, repr(1.01 * t_inf))]
+        for *model, t_max in cases:
+            code, out, err = run_cli(capsys, "fluid", *model, "--t-max", t_max)
+            assert code == 2, (model, t_max)
             assert out == ""
             assert "--t-max" in err
+
+    def test_t_max_at_t_inf(self, capsys):
+        # dk is theta = 0, where x = exp(-lambda t) must stay above 0
+        for preset in ("dk", "hayes"):
+            t_inf = run_json(capsys, "fluid", "--preset", preset, "--points", "2")["t_inf"]
+            pts = run_json(capsys, "fluid", "--preset", preset, "--points", "5",
+                           "--t-max", repr(t_inf))["points"]
+            assert pts[-1]["t"] == t_inf
+            assert abs(pts[-1]["y"]) <= 1e-10
 
 
 class TestSimulate:

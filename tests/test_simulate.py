@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import random_params, rng_for
-from oracles import exact_probs_by_slices, final_state_counts, goodness_of_fit
+from oracles import (exact_probs_by_slices, final_state_counts, goodness_of_fit,
+                     minor_outbreak_leading)
 from rumour.clt import CovMatrix2, clt_constants, sigma_matrix
 from rumour.errors import TooLarge
 from rumour.limits import LimitResult, solve_x_infinity
@@ -204,6 +205,36 @@ class TestExactDistribution:
         p = REFERENCE_PARAMS[name]
         assert np.array_equal(exact_final_distribution(n, p).probs,
                               exact_probs_by_slices(n, p))
+
+    # Richardson's 2 f(2n) - f(n) removes the 1/N term of N * p_minor; what
+    # is left, the 1/N^2 term and the major outbreak's tail past the
+    # threshold, measured -0.0001 to -0.011 at n = 240/480 (the delta = 0.6
+    # point is the largest) and -0.014 for apq_dk at 480/960.  0.02 allows
+    # those and stays far below every nonzero term of the formula (the
+    # smallest, kawachi's gamma (1 - delta) / delta^2, is 0.54).
+    MINOR_TOL = 0.02
+
+    @pytest.mark.parametrize("p, n", [
+        (preset_params("dk"), 240),
+        (preset_params("hayes"), 240),
+        (preset_params("mt"), 240),
+        (preset_params("kawachi", alpha=0.9, beta=0.4, gamma=0.8, theta=0.7), 240),
+        (ModelParams(lam=1.3, gamma=0.7, theta1=0.9, theta2=0.3, delta=0.6), 240),
+        pytest.param(preset_params("apq_dk", alpha=1, p=1, q=0.5), 480,
+                     marks=pytest.mark.slow),
+    ], ids=["dk", "hayes", "mt", "kawachi", "point", "apq_dk"])
+    def test_minor_outbreak_atom_matches_leading_term(self, p, n, monkeypatch):
+        # the atom near X = N: mass on X_final > N (1 + x_inf) / 2, the
+        # threshold perfbench's minor_threshold uses
+        monkeypatch.setattr(simulate, "EXACT_N_MAX", 2 * n)
+        x_inf = solve_x_infinity(p).x_inf
+
+        def n_p_minor(m):
+            probs = exact_final_distribution(m, p).probs
+            return m * probs[np.arange(m + 1) > 0.5 * m * (1.0 + x_inf)].sum()
+
+        extrapolated = 2.0 * n_p_minor(2 * n) - n_p_minor(n)
+        assert abs(extrapolated - minor_outbreak_leading(p)) <= self.MINOR_TOL
 
     def test_n1_dk_hand_enumeration(self):
         d = exact_final_distribution(1, preset_params("dk"))
