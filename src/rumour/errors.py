@@ -17,9 +17,11 @@ class NoBracket(RumourError):
     """The float-grid bisection for x_inf has no bracket: f is not negative
     at the smallest normal float (x_inf underflows; gamma small against
     delta) or not positive at its maximiser (delta/gamma below about 1e-15,
-    where x_inf lies within twenty doubles of 1).  The closed forms raise
-    it too when x_inf underflows, where f is not positive at the maximiser
-    (the bisection's own test), and where x_inf rounds to 1."""
+    where x_inf lies within twenty doubles of 1, or gamma so small that f
+    underflows near the root, as at gamma = 1e-300 with delta/gamma =
+    1e-13).  The closed forms raise it too when x_inf underflows, where f
+    is not positive at the maximiser (the bisection's own test), and where
+    x_inf rounds to 1."""
 
 
 class NotApplicable(RumourError):

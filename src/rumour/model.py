@@ -128,11 +128,9 @@ def rate_weights(x, y, n: int, p: ModelParams):
 
 
 def rate_weights_fn(n: int, p: ModelParams):
-    """rate_weights at population n under p, as weights(x, y, out=None)
-    with the coefficients converted to float64 once, for a caller that
-    evaluates it at many states.  out, if given, is six float64 arrays
-    shaped like x: the weights are written into the first four, and the
-    last two are overwritten as scratch.
+    """rate_weights at population n under p, as weights(x, y) with the
+    coefficients converted to float64 once, for a caller that evaluates it
+    at many states.
 
     A coefficient of exactly 1 (delta in w0, theta1 in w2, theta2 and
     gamma in w3) is not multiplied, and a theta2 of exactly 0 drops the
@@ -144,9 +142,8 @@ def rate_weights_fn(n: int, p: ModelParams):
     float64 counts, as rate_weights does: on integer counts a skipped
     coefficient leaves integer products, equal in value.
 
-    At delta = 1 with out given, w1 is written by one fill with +0.0, the
-    value (0 * x) * y takes on those states; without out it is computed
-    as written."""
+    At delta = 1, w1 is one fill with +0.0, the value (0 * x) * y takes
+    on those states, in one call where the formula takes two."""
     d_one, t1_one, t2_one = p.delta == 1.0, p.theta1 == 1.0, p.theta2 == 1.0
     g_one, t2_zero = p.gamma == 1.0, p.theta2 == 0.0
     # 0-d arrays: numpy converts a Python float anew on every call
@@ -154,24 +151,16 @@ def rate_weights_fn(n: int, p: ModelParams):
         p.delta, 1.0 - p.delta, p.theta1, p.theta2, p.gamma, n + 1, 1.0, 2.0))
     mul, sub = np.multiply, np.subtract
 
-    def weights(x, y, out=(None,) * 6):
-        o0, o1, o2, o3, s, r = out
-        ym1 = sub(y, one, out=s)
-        w0 = mul(x if d_one else mul(d, x, out=o0), y, out=o0)
-        if d_one and o1 is not None:
-            o1.fill(0.0)  # (0 * x) * y is +0.0; one call in place of two
-            w1 = o1
-        else:
-            w1 = mul(mul(d1, x, out=o1), y, out=o1)
-        w2 = np.divide(mul(y if t1_one else mul(t1, y, out=o2), ym1, out=o2), two, out=o2)
-        if not t2_zero:
-            w3 = mul(y if t2_one else mul(t2, y, out=o3), ym1, out=o3)
-        # y - 1 is read for the last time: its buffer takes n + 1 - x - y
-        rest = sub(sub(top, x, out=s), y, out=s)
-        gy = y if g_one else mul(g, y, out=r)
+    def weights(x, y):
+        ym1 = sub(y, one)
+        w0 = mul(x if d_one else mul(d, x), y)
+        w1 = np.zeros(w0.shape) if d_one else mul(mul(d1, x), y)
+        w2 = np.divide(mul(y if t1_one else mul(t1, y), ym1), two)
+        rest = sub(sub(top, x), y)
+        gy = y if g_one else mul(g, y)
         if t2_zero:
-            return w0, w1, w2, mul(gy, rest, out=o3)
-        return w0, w1, w2, np.add(w3, mul(gy, rest, out=r), out=o3)
+            return w0, w1, w2, mul(gy, rest)
+        return w0, w1, w2, np.add(mul(y if t2_one else mul(t2, y), ym1), mul(gy, rest))
 
     return weights
 

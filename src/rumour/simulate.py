@@ -27,17 +27,17 @@ integers, so no floating-point reduction order can leak in.
 The kernel is a numpy lockstep walk: each step advances every live
 replication of a chunk by one jump, with weights from model.rate_weights,
 so each path is bit-identical to a one-row-at-a-time walk.  A step
-makes about 19 numpy calls for the classical presets (dk, mt, hayes) and
-about 30 in general, each writing into buffers allocated once per chunk,
-so numpy's fixed cost per call, not arithmetic, sets its price however
-few rows are live.  When few rows are live the kernel therefore walks
-windows: each round of calls moves every row by up to a thousand jumps
-in new arrays, guessing the window's moves and correcting them from the
-states they lead through until none changes: the step's bits (see
-_chunk_kernel).  The step and the windows read each move from one table
-of (dx, dy) and each holding time from one formula.  A dk replication
-at N = 10^4 takes about 0.95 ms, against 1.28 ms one step at a time, and
-four at N = 10^6 take about 1.3 s, against 38.6 s.
+makes about 21 numpy calls for dk and about 33 in general, so numpy's
+fixed cost per call, not arithmetic, sets its price however few rows are
+live.  When few rows are live the kernel therefore walks windows: each
+round of calls moves every row by up to a thousand jumps in new arrays,
+guessing the window's moves and correcting them from the states they
+lead through until none changes: the step's bits (see _chunk_kernel).
+The step and the windows compute their moves in one function, and read
+each move from one table of (dx, dy) and each holding time from one
+formula.  A dk replication at N = 10^4 takes about 0.95 ms, against 1.28
+ms one step at a time, and four at N = 10^6 take about 1.3 s, against
+38.6 s.
 
 For small populations an exact final-state distribution is available by
 propagating probability mass through the jump-chain DAG.
@@ -92,10 +92,10 @@ _MOVES = np.array([(0.0, -1.0), (0.0, -2.0), (-1.0, 0.0), (-1.0, 1.0)])
 _PACK = float(1 << 20)
 
 
-def _column(block, col, pos, out):
-    """Column col of block at the rows pos, gathered into out, or a view
-    of the whole column if pos is None."""
-    return block[:, col] if pos is None else block[:, col].take(pos, out=out, mode="clip")
+def _column(block, cols, pos):
+    """Columns cols (an index or a slice) of block at the rows pos, or a
+    view of all its rows if pos is None."""
+    return block[:, cols] if pos is None else block[:, cols].take(pos, axis=0, mode="clip")
 
 
 def _window_width(n: int, live: int) -> int:
@@ -125,13 +125,14 @@ def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
     jump-chain mode).
 
     Each step's cost is mostly numpy's fixed cost per call, so the step
-    is written for few calls: ufuncs write into buffers sliced to the live
-    rows, the model's coefficients are 0-d arrays and those of exactly 1
-    or a theta2 of 0 are folded out, the thresholds are summed in place,
-    the move is one int8 code k, whose dy the step reads from _MOVES, and
-    a column of uniforms is a view until a row of its block absorbs.  With
-    delta = 1 the step drops the w1 threshold and the w0 count, and w1 is
-    one fill, about 19 calls in all for dk against about 30 in general.
+    is written for few calls: the model's coefficients are 0-d arrays and
+    those of exactly 1 or a theta2 of 0 are folded out, the thresholds are
+    summed in place, the move is one int8 code k, whose dy the step reads
+    from _MOVES, and a column of uniforms is a view until a row of its
+    block absorbs.  With delta = 1 the step drops the w1 threshold, the
+    flag b and the w0 count, and w1 is one fill, about 21 calls in all for
+    dk against about 33 in general.  moves computes the codes and total
+    weights for the step and the window alike.
 
     When _window_width(n, live) gives width > 1, a window advances every
     live row by width jumps, or to its absorption, in a few rounds of
@@ -162,8 +163,7 @@ def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
     # moves, the ignorants recruited as spreaders; every other ignorant
     # informed became uninterested, so u = n - x - rec.  With delta = 1
     # there is no w1 move (w1 = 0 * x * y = 0): c1 = w0 + w1 is w0, flag b
-    # is flag a, x falls on a, and rec = n - x, so u = 0 and rec is not
-    # kept.
+    # is flag a, and rec = n - x, so u = 0 and rec is not kept.
     delta1 = params.delta == 1.0
     dxs, dys = (_MOVES[[0, 1, 3]] if delta1 else _MOVES).T.copy()
     codes = dys + _PACK * dxs
@@ -173,49 +173,39 @@ def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
     t = np.zeros(rows)
     weights = rate_weights_fn(n, params)
     neg_lam = np.array(-params.lam)
-    # Every step writes into these, sliced to the live rows when they change.
-    floats, flags, moves = np.empty((9, rows)), np.empty((3, rows), bool), np.empty(rows, np.int8)
 
-    def buffers(size):
-        *scratch, v, h, dy = floats[:, :size]
-        # the flags' bytes read as int8 0/1, so k sums them without a cast
-        return scratch, v, h, dy, flags[:, :size], flags[:, :size].view(np.int8), moves[:size]
-
-    def thresholds(xv, yv, out):
-        w0, c1, c2, wsum = weights(xv, yv, out=out)
-        # Running sums in place, added in the order ((w0 + w1) + w2) + w3
-        # evaluates.
+    def moves(xs, ys, u):
+        # The move codes k of the states xs, ys with the uniforms u, their
+        # total weights, and the flags a (w0) and b (w0 or w1).  The
+        # thresholds are running sums in place, added in the order
+        # ((w0 + w1) + w2) + w3 evaluates; with delta = 1, w0 + w1 is w0.
+        w0, c1, c2, wsum = weights(xs, ys)
         if delta1:
-            c2 += w0
+            c1 = w0
         else:
             c1 += w0
-            c2 += c1
+        c2 += c1
         wsum += c2
-        return w0, c1, c2, wsum
-
-    def flag(v, w0, c1, c2, f):
-        np.less(v, w0, out=f[0])
-        np.less(v, c2, out=f[2])
-        if not delta1:
-            np.less(v, c1, out=f[1])
-
-    def count(f8, k):
+        v = np.multiply(u, wsum)
+        a, c = np.less(v, w0), np.less(v, c2)
         # Nondecreasing thresholds: a implies b implies c, so k = a + b + c
         # is 3 on a (w0), 2 on b ^ a (w1), 1 on c ^ b (w2) and 0 on ~c (w3),
-        # the rows of _MOVES.  With delta = 1, b is a and k = a + c is 2 on
-        # a, 1 on c ^ a and 0 on ~c.
+        # the rows of _MOVES; the flags' bytes read as int8 0/1, so k sums
+        # them without a cast.  With delta = 1, b is a and k = a + c is 2
+        # on a, 1 on c ^ a and 0 on ~c.
+        k = np.add(a.view(np.int8), c.view(np.int8))
         if delta1:
-            return np.add(f8[0], f8[2], out=k)
-        np.add(f8[0], f8[1], out=k)
-        k += f8[2]
-        return k
+            return k, wsum, a, a
+        b = np.less(v, c1)
+        k += b.view(np.int8)
+        return k, wsum, a, b
 
-    def holding(h, wsum, out):
+    def holding(h, wsum):
         # The holding times log1p(-h) / (-lambda wsum) of the jumps with
-        # uniforms h, through out (h or its size).  math.log1p, not np.log1p:
-        # numpy's SIMD log1p rounds differently in about 7 % of draws.
-        logs = np.fromiter(map(math.log1p, np.negative(h, out=out).tolist()), float, out.size)
-        return np.divide(logs, np.multiply(neg_lam, wsum, out=out), out=logs)
+        # uniforms h.  math.log1p, not np.log1p: numpy's SIMD log1p rounds
+        # differently in about 7 % of draws.
+        logs = np.fromiter(map(math.log1p, np.negative(h).tolist()), float, h.size)
+        return np.divide(logs, np.multiply(neg_lam, wsum), out=logs)
 
     def window(sel, hold, col, pos, width):
         """Advance each live row width jumps, or to its absorption, from
@@ -224,15 +214,6 @@ def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
         # one column more than the window: the flags of the state after
         # its last jump are computed, and never read
         cols = slice(col, col + width + 1)
-
-        def step_at(xs, ys, at):
-            # the single step's arithmetic at the states xs, ys, column j
-            # the state before jump j: each jump's move code and total weight
-            w0, c1, c2, wsum = thresholds(xs, ys, np.empty((6,) + xs.shape))
-            v = np.multiply(sel[:, cols] if at is None else sel[at, cols], wsum)
-            f = np.empty((3,) + v.shape, bool)
-            flag(v, w0, c1, c2, f)
-            return count(f.view(np.int8), np.empty(v.shape, np.int8)), wsum
 
         def pack(k):
             # column j sums the codes of the moves k before jump j; flat, k
@@ -243,7 +224,7 @@ def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
             return np.cumsum(packed, axis=1, out=packed)
 
         # The guess: every move from the row's state at the window's start.
-        k = step_at(x[:, None], y[:, None], pos)[0]
+        k = moves(x[:, None], y[:, None], _column(sel, cols, pos))[0]
         # The rows still walked, their places among the window's rows and
         # in the blocks, and their states at its start; each row's state
         # after its last jump, and its moves and weights, once settled.
@@ -259,7 +240,7 @@ def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
             ys -= xs * _PACK
             ys += y0[:, None]
             xs += x0[:, None]
-            new, wsum = step_at(xs, ys, at)
+            new, wsum = moves(xs, ys, _column(sel, cols, at))[:2]
             # A row is settled when no move changed up to its absorption,
             # or the window's end: its walked states are then the chain's.
             # After its absorption they are junk.  last is the jump after
@@ -293,14 +274,12 @@ def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
             # the holding times of the jumps walked, added in jump order
             # after the time so far
             cols = slice(col, col + width)
-            h = (hold[:, cols] if pos is None else hold[pos, cols])[valid]
             ts = np.zeros((size, width + 1))
             ts[:, 0] = t
-            ts[:, 1:][valid] = holding(h, wsums[:, :-1][valid], h)
+            ts[:, 1:][valid] = holding(_column(hold, cols, pos)[valid], wsums[:, :-1][valid])
             t[:] = np.add.accumulate(ts, axis=1, out=ts)[:, -1]
         return taken
 
-    scratch, v, h, dy, (a, b, c), (a8, b8, c8), k = buffers(rows)
     step = 0
     hold = None
     while live.size:
@@ -313,20 +292,15 @@ def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
             jumps = step + window(sel, hold, col, pos, width)
             step += width
         else:
-            w0, c1, c2, wsum = thresholds(x, y, scratch)
+            k, wsum, a, b = moves(x, y, _column(sel, col, pos))
             if hold is not None:
-                t += holding(_column(hold, col, pos, h), wsum, h)
-            np.multiply(_column(sel, col, pos, v), wsum, out=v)
+                t += holding(_column(hold, col, pos), wsum)
             step += 1
             jumps = step
-            flag(v, w0, c1, c2, (a, b, c))
-            count((a8, b8, c8), k)
-            if delta1:
-                x -= a
-            else:
-                x -= b
+            x -= b
+            if not delta1:
                 rec += a
-            y += dys.take(k, out=dy, mode="clip")
+            y += dys.take(k, mode="clip")
         if np.count_nonzero(y) < live.size:
             done = y == 0
             gone = live[done]
@@ -339,7 +313,6 @@ def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
                 pos = np.arange(live.size)  # each live row's row in the blocks
             live, pos, x, rec, y, t = (
                 live[keep], pos[keep], x[keep], rec[keep], y[keep], t[keep])
-            scratch, v, h, dy, (a, b, c), (a8, b8, c8), k = buffers(live.size)
     return out_x, out_u, out_j, out_t if hold is not None else None
 
 

@@ -58,7 +58,7 @@ MUTANTS = {
     "B: gamma + theta": (
         "src/rumour/clt.py", "/ (g + d * th)", "/ (g + th)"),
     "delta = 1 w1 fill at a subnormal": (
-        "src/rumour/model.py", "o1.fill(0.0)", "o1.fill(5e-324)"),
+        "src/rumour/model.py", "np.zeros(w0.shape)", "np.full(w0.shape, 5e-324)"),
     "McStats: x . x for x . u": (
         "src/rumour/simulate.py", "np.dot(x, u)", "np.dot(x, x)"),
     "JSON table: 16 digits": (
@@ -110,6 +110,10 @@ MUTANTS = {
         "src/rumour/simulate.py", "two[t, :-1]", "two[t, 1:]"),
     "holding time: sign of lambda": (
         "src/rumour/simulate.py", "np.array(-params.lam)", "np.array(params.lam)"),
+    "step: x falls on w0 alone": (
+        "src/rumour/simulate.py", "x -= b", "x -= a"),
+    "moves: w2 threshold inclusive": (
+        "src/rumour/simulate.py", "np.less(v, c2)", "np.less_equal(v, c2)"),
 }
 
 

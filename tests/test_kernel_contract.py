@@ -29,6 +29,9 @@ the same results at each.  At each block width it runs with the window
 width the kernel picks and again with widths forced from the single step
 to wider than any block, so every check above also walks the window path,
 with windows cut short by block edges and rows absorbing inside them.
+Checks of many rows run once more with the kernel's own choice of width
+and its thresholds lowered, so that rows absorb in single steps and the
+windows that follow read the blocks at the survivors' rows.
 The Philox block reader is checked against the
 whole-matrix draw it replaces, writing every block into one reused
 buffer.
@@ -50,6 +53,21 @@ BLOCKS = (simulate._BLOCK, 3, 7)
 # Window widths forced on the kernel, besides the one _window_width picks:
 # the single step, short windows, and windows wider than any block.
 WIDTHS = (1, 2, 5, 64, 4 * simulate._BLOCK)
+
+# In place of a width: windows at any n once at most 4 rows are live, the
+# single step before, so the step hands the window rows absorbed in it.
+HANDOFF = "hand-off"
+
+
+def force_width(mp, width):
+    """Patch the kernel to a width from WIDTHS, to HANDOFF, or, for None,
+    to nothing."""
+    if width == HANDOFF:
+        mp.setattr(simulate, "_WINDOW_N", 1)
+        mp.setattr(simulate, "_WINDOW_ROWS", 4)
+    elif width is not None:
+        mp.setattr(simulate, "_window_width", lambda n, live, width=width: width)
+
 
 MOVES = ((-1, 0, 1), (-1, 1, 0), (0, 0, -2), (0, 0, -1))  # on (x, u, y)
 
@@ -97,11 +115,12 @@ def reader(sel, hold):
     return read
 
 
-def run_kernel(n, p, sel_rows, hold_rows, want_time):
+def run_kernel(n, p, sel_rows, hold_rows, want_time, widths=(None,) + WIDTHS):
     """Run the kernel on the given rows of uniforms (each padded with 0.5
     to the 2n + 1 a replication may use) at every block width in BLOCKS
-    and every window width, chosen or in WIDTHS; check that they all agree
-    and return the per-row outputs, with times None in jump-chain mode."""
+    and every window width in widths (see force_width); check that they
+    all agree and return the per-row outputs, with times None in
+    jump-chain mode."""
     m = 2 * n + 1
     rows = len(sel_rows)
     sel = np.full((rows, m), 0.5)
@@ -111,11 +130,10 @@ def run_kernel(n, p, sel_rows, hold_rows, want_time):
         hold[r, : len(hold_rows[r])] = hold_rows[r]
     results = {}
     for block in BLOCKS:
-        for width in (None,) + WIDTHS:
+        for width in widths:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(simulate, "_BLOCK", block)
-                if width is not None:
-                    mp.setattr(simulate, "_window_width", lambda n, live, width=width: width)
+                force_width(mp, width)
                 read = reader(sel, hold if want_time else None)
                 xs, us, js, ts = _chunk_kernel(n, p, rows, read)
             results[block, width] = (xs.tolist(), us.tolist(), js.tolist(),
@@ -159,7 +177,8 @@ def test_kernel_rows_of_different_lengths(want_time):
         paths = [walk(n, p, rng) for _ in range(12)]
         assert len({len(path[0]) for path in paths}) > 1, name
         xs, us, js, ts = run_kernel(n, p, [path[0] for path in paths],
-                                    [path[1] for path in paths], want_time)
+                                    [path[1] for path in paths], want_time,
+                                    (None,) + WIDTHS + (HANDOFF,))
         assert (ts is not None) == want_time
         for r, (u_sel, u_hold, wsums, x, u) in enumerate(paths):
             assert (xs[r], us[r], js[r]) == (x, u, len(u_sel)), (name, r)
@@ -290,14 +309,14 @@ def test_philox_reader_matches_whole_matrix(block, monkeypatch):
 def test_chunks_same_at_every_block_width(mode, monkeypatch):
     # The whole pipeline, Philox reader and kernel, gives the same results
     # whatever the block width and the window width, including rows read
-    # in one call (width >= 2n + 1) against rows read many times.
+    # in one call (width >= 2n + 1) against rows read many times, and the
+    # step handing its survivors to windows.
     p = preset_params("apq_dk", alpha=0.8, p=0.7, q=0.6)
     results = []
     for block in (simulate._BLOCK, 3, 7, 64):
-        for width in (None,) + WIDTHS:
+        for width in (None,) + WIDTHS + (HANDOFF,):
             monkeypatch.setattr(simulate, "_BLOCK", block)
-            if width is not None:
-                monkeypatch.setattr(simulate, "_window_width", lambda n, live, width=width: width)
+            force_width(monkeypatch, width)
             blocks = list(simulate.iter_final_states(40, 120, p, 17, mode=mode))
             monkeypatch.undo()
             results.append([(b.start, b.x.tolist(), b.u.tolist(), b.jumps.tolist(),

@@ -151,9 +151,7 @@ class TestTransitionRates:
                              for x, y in zip(xs.tolist(), ys.tolist())]).T
             weights = rate_weights_fn(n, p)
             for counts in (xs, ys), (xs.astype(float), ys.astype(float)):
-                out = tuple(np.empty(len(xs)) for _ in range(6))
-                for got in (rate_weights(*counts, n, p), weights(*counts),
-                            weights(*counts, out=out)):
+                for got in rate_weights(*counts, n, p), weights(*counts):
                     got = np.array([np.asarray(w, float) for w in got])
                     assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (
                         p, counts[0].dtype)
