@@ -257,7 +257,7 @@ def cmd_verify(ns, settings, params, header) -> tuple[int, str]:
     lim = limits_mod.solve_x_infinity(params)
     consts = clt_mod.clt_constants(params, lim)
     sigma = clt_mod.sigma_matrix(consts, params, lim)
-    stats = sim_mod.monte_carlo(n, reps, params, seed, mode)
+    stats = sim_mod.monte_carlo(n, reps, params, seed)
     report = sim_mod.verify(stats, lim, sigma)
     obj = {**header, "master_seed": seed, "mode": mode, **report.to_json_obj()}
     return (0 if report.passed else 1), jsonio.dumps(obj)

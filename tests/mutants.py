@@ -114,6 +114,13 @@ MUTANTS = {
         "src/rumour/simulate.py", "x -= b", "x -= a"),
     "moves: w2 threshold inclusive": (
         "src/rumour/simulate.py", "np.less(v, c2)", "np.less_equal(v, c2)"),
+    "monte_carlo walks exact-time": (
+        "src/rumour/simulate.py", "iter_final_states(n, reps, params, master_seed)",
+        'iter_final_states(n, reps, params, master_seed, mode="exact-time")'),
+    "kawachi: beta bound at 2": (
+        "src/rumour/model.py", "0 <= beta <= 1", "0 <= beta <= 2"),
+    "pearce: q1 + q2 bound at 2": (
+        "src/rumour/model.py", "q1 + q2 <= 1,", "q1 + q2 <= 2,"),
 }
 
 

@@ -116,16 +116,12 @@ def sigma_closed_form(family: str, value: float | None = None) -> CovMatrix2:
 
 
 def final_state_counts(
-    n: int,
-    reps: int,
-    params: ModelParams,
-    master_seed: int,
-    mode: str = "jump-chain",
+    n: int, reps: int, params: ModelParams, master_seed: int
 ) -> dict[tuple[int, int], int]:
     """Histogram of final (X, U) over replications."""
     counts: dict[tuple[int, int], int] = {}
     stride = n + 2
-    for block in iter_final_states(n, reps, params, master_seed, mode=mode):
+    for block in iter_final_states(n, reps, params, master_seed):
         keys, cnt = np.unique(block.x * stride + block.u, return_counts=True)
         for k, c in zip(keys.tolist(), cnt.tolist()):
             xu = (k // stride, k % stride)

@@ -206,6 +206,32 @@ class TestVerify:
         assert obj["pass"] is False
         assert code == 1
 
+    def test_exact_time_reads_only_the_selection_stream(self, capsys, monkeypatch):
+        # Both modes walk the same final states, so exact-time verify draws
+        # no holding times (stream 1) and prints the jump-chain run's bytes
+        # but for the mode it echoes.  1100 replications at N = 200 make
+        # two chunks.
+        philox_rows = simulate._philox_rows
+        streams = []
+
+        def recorded(master_seed, chunk_index, stream, *rest):
+            streams.append(stream)
+            return philox_rows(master_seed, chunk_index, stream, *rest)
+
+        monkeypatch.setattr(simulate, "_philox_rows", recorded)
+        runs = {}
+        for mode in ("jump-chain", "exact-time"):
+            streams.clear()
+            runs[mode] = run_cli(capsys, "verify", "--preset", "mt", "--n", "200",
+                                 "--reps", "1100", "--seed", "5", "--mode", mode)
+            assert streams == [0, 0], mode
+        (code_j, out_j, err_j), (code_e, out_e, err_e) = runs.values()
+        assert (code_e, err_e) == (code_j, err_j)
+        lines_j, lines_e = out_j.splitlines(), out_e.splitlines()
+        assert len(lines_e) == len(lines_j)
+        changed = [(a, b) for a, b in zip(lines_j, lines_e) if a != b]
+        assert changed == [('  "mode": "jump-chain",', '  "mode": "exact-time",')]
+
     def test_too_few_reps_exits_2_before_simulating(self, capsys):
         # N = 10^6 would take minutes to simulate: the check comes first
         for reps in ("0", "1"):

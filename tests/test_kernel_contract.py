@@ -29,6 +29,8 @@ the same results at each.  At each block width it runs with the window
 width the kernel picks and again with widths forced from the single step
 to wider than any block, so every check above also walks the window path,
 with windows cut short by block edges and rows absorbing inside them.
+Forced widths that run the same instructions there run once (see
+distinct_widths).
 Checks of many rows run once more with the kernel's own choice of width
 and its thresholds lowered, so that rows absorb in single steps and the
 windows that follow read the blocks at the survivors' rows.
@@ -57,6 +59,23 @@ WIDTHS = (1, 2, 5, 64, 4 * simulate._BLOCK)
 # In place of a width: windows at any n once at most 4 rows are live, the
 # single step before, so the step hands the window rows absorbed in it.
 HANDOFF = "hand-off"
+
+
+def distinct_widths(widths, block, n):
+    """The widths that run distinct executions at block width block and
+    population n.  A forced width w walks windows of min(w, cols) jumps,
+    where cols, the columns left in the block less one, is at most
+    min(block, 2n + 1) - 1: forced widths with the same min(w, that cap)
+    run the same instructions, and only the first of them is kept.  None
+    and HANDOFF are always kept."""
+    cap = min(block, 2 * n + 1) - 1
+    seen = set()
+    for width in widths:
+        if width in (None, HANDOFF):
+            yield width
+        elif min(width, cap) not in seen:
+            seen.add(min(width, cap))
+            yield width
 
 
 def force_width(mp, width):
@@ -118,9 +137,10 @@ def reader(sel, hold):
 def run_kernel(n, p, sel_rows, hold_rows, want_time, widths=(None,) + WIDTHS):
     """Run the kernel on the given rows of uniforms (each padded with 0.5
     to the 2n + 1 a replication may use) at every block width in BLOCKS
-    and every window width in widths (see force_width); check that they
-    all agree and return the per-row outputs, with times None in
-    jump-chain mode."""
+    and every window width in widths (see force_width) that runs a
+    distinct execution there (see distinct_widths); check that they all
+    agree and return the per-row outputs, with times None in jump-chain
+    mode."""
     m = 2 * n + 1
     rows = len(sel_rows)
     sel = np.full((rows, m), 0.5)
@@ -130,7 +150,7 @@ def run_kernel(n, p, sel_rows, hold_rows, want_time, widths=(None,) + WIDTHS):
         hold[r, : len(hold_rows[r])] = hold_rows[r]
     results = {}
     for block in BLOCKS:
-        for width in widths:
+        for width in distinct_widths(widths, block, n):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(simulate, "_BLOCK", block)
                 force_width(mp, width)
@@ -314,7 +334,7 @@ def test_chunks_same_at_every_block_width(mode, monkeypatch):
     p = preset_params("apq_dk", alpha=0.8, p=0.7, q=0.6)
     results = []
     for block in (simulate._BLOCK, 3, 7, 64):
-        for width in (None,) + WIDTHS + (HANDOFF,):
+        for width in distinct_widths((None,) + WIDTHS + (HANDOFF,), block, 40):
             monkeypatch.setattr(simulate, "_BLOCK", block)
             force_width(monkeypatch, width)
             blocks = list(simulate.iter_final_states(40, 120, p, 17, mode=mode))

@@ -157,6 +157,49 @@ class TestTransitionRates:
                         p, counts[0].dtype)
 
 
+HALVES = dict(alpha=0.5, p=0.5, q=0.5)
+# TINY / 2^-1074 = 2^84 is finite, so a preset that divides by a parameter
+# stays admissible at the float just above 0.
+TINY = 2.0**-990
+
+# Each range check of a preset mapper: (preset, parameter, low end, high
+# end, the open end or None, the other auxiliary values).  An end is None
+# where the parameter has no bound of its own there.  The other values
+# keep theta in [0, 1] at the value just inside each end.
+PRESET_RANGES = [
+    ("rho", "rho", 0.0, 1.0, None, {}),
+    *[(name, aux, 0.0, 1.0, "low", {k: v for k, v in HALVES.items() if k != aux})
+      for name in ("apq_dk", "apq_mt") for aux in HALVES],
+    # theta = (q2 + q1 / 2 - r) / p
+    ("pearce", "p", 0.0, 1.0, "low", dict(q1=0.0, q2=TINY, r=TINY)),
+    ("pearce", "q1", 0.0, None, None, dict(p=1.0, q2=0.5, r=0.5)),
+    ("pearce", "q2", 0.0, None, None, dict(p=1.0, q1=1.0, r=0.5)),
+    ("pearce", "r", 0.0, 1.0, "low", dict(p=1.0, q1=0.0, q2=1.0)),
+    # theta = (2 beta - gamma) / alpha; at beta = 0 it is -gamma / alpha,
+    # admissible only inside the snap of 1e-12 to 0
+    ("kawachi", "alpha", 0.0, 1.0, "low", dict(beta=TINY / 2, gamma=TINY, theta=0.5)),
+    ("kawachi", "beta", 0.0, None, None, dict(alpha=1.0, gamma=2.0**-50, theta=0.5)),
+    ("kawachi", "beta", None, 1.0, None, dict(alpha=1.0, gamma=1.0, theta=0.5)),
+    ("kawachi", "gamma", 0.0, 1.0, "low", dict(alpha=1.0, beta=0.5, theta=0.5)),
+    ("kawachi", "theta", 0.0, 1.0, "low", dict(alpha=1.0, beta=0.5, gamma=1.0)),
+]
+
+
+def range_ends():
+    """Each end of PRESET_RANGES: (preset, parameter, the value just
+    inside, the value just outside, the other auxiliary values)."""
+    for preset, name, low, high, open_end, others in PRESET_RANGES:
+        for end, bound, inward in (("low", low, math.inf), ("high", high, -math.inf)):
+            if bound is None:
+                continue
+            if end == open_end:
+                inside, outside = math.nextafter(bound, inward), bound
+            else:
+                inside, outside = bound, math.nextafter(bound, -inward)
+            yield pytest.param(preset, name, inside, outside, others,
+                               id=f"{preset}-{name}-{end}")
+
+
 class TestPresets:
     def test_apq_dk_basic_is_dk(self):
         assert preset_params("apq_dk", alpha=1, p=1, q=1) == preset_params("dk")
@@ -217,6 +260,27 @@ class TestPresets:
             preset_params("rho", rho=1.5)
         with pytest.raises(ConstraintViolation, match="alpha"):
             preset_params("apq_dk", alpha=0, p=1, q=1)
+
+    @pytest.mark.parametrize("preset, name, inside, outside, others", range_ends())
+    def test_aux_range_ends(self, preset, name, inside, outside, others):
+        # the value just inside an end is taken; the value just outside and
+        # NaN are refused by the preset's own check ("alpha in (0, 1]
+        # violated (alpha = 0.0)", not ModelParams' "gamma > 0 violated")
+        preset_params(preset, **others, **{name: inside})
+        for bad in (outside, math.nan):
+            with pytest.raises(ConstraintViolation) as err:
+                preset_params(preset, **others, **{name: bad})
+            msg = str(err.value)
+            assert msg.startswith((f"{name} in ", f"{name} >= 0 ")), msg
+            assert msg.endswith(f"({name} = {bad!r})"), msg
+
+    def test_pearce_q1_plus_q2_at_most_one(self):
+        # q1 + q2 = 1 is taken; the float just above 1 is refused
+        preset_params("pearce", p=1.0, q1=0.5, q2=0.5, r=0.5)
+        above = math.nextafter(1.0, 2.0)
+        with pytest.raises(ConstraintViolation) as err:
+            preset_params("pearce", p=1.0, q1=0.5, q2=above - 0.5, r=0.5)
+        assert f"(q1 + q2 = {above!r})" in str(err.value)
 
     def test_unknown_and_missing(self):
         with pytest.raises(ConstraintViolation, match="unknown preset"):

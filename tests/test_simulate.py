@@ -84,10 +84,17 @@ class TestRunOne:
 
 
 class TestModesAndLambda:
-    def test_modes_share_final_states(self):
-        p = preset_params("apq_dk", alpha=0.8, p=0.7, q=0.6)
-        a = list(iter_final_states(60, 500, p, 1234, mode="jump-chain"))
-        b = list(iter_final_states(60, 500, p, 1234, mode="exact-time"))
+    @pytest.mark.parametrize("p, n, reps, seed", [
+        (preset_params("apq_dk", alpha=0.8, p=0.7, q=0.6), 60, 500, 1234),
+        # N >= 1000 with few rows live: the window path that verify takes
+        (preset_params("dk"), 2000, 8, 99),
+        (ModelParams(lam=1.3, gamma=0.7, theta1=0.9, theta2=0.3, delta=0.6), 2000, 8, 99),
+    ], ids=["apq_dk-steps", "dk-windows", "delta=0.6-windows"])
+    def test_modes_share_final_states(self, p, n, reps, seed):
+        assert (simulate._window_width(n, reps) > 1) == (n >= 1000)
+        a = list(iter_final_states(n, reps, p, seed, mode="jump-chain"))
+        b = list(iter_final_states(n, reps, p, seed, mode="exact-time"))
+        assert len(a) == len(b)
         for ba, bb in zip(a, b):
             assert np.array_equal(ba.x, bb.x)
             assert np.array_equal(ba.u, bb.u)
