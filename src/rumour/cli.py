@@ -224,6 +224,12 @@ def cmd_fluid(ns, settings, params, header) -> tuple[int, str]:
 
 def cmd_simulate(ns, settings, params, header) -> tuple[int, str]:
     n, reps, seed, mode = settings
+    # --output is open by now; the summary would overwrite a dump written
+    # to the same regular file (a device such as /dev/null takes both)
+    if ns.dump and ns.output and os.path.exists(ns.dump):
+        out = os.stat(ns.output)
+        if stat.S_ISREG(out.st_mode) and os.path.samestat(out, os.stat(ns.dump)):
+            raise UsageError(f"--dump {ns.dump}: the same file as --output {ns.output}")
     stats = sim_mod.McStats.empty(n, seed)
     tau_sum = 0.0
 

@@ -117,13 +117,11 @@ def sigma_matrix(consts: CltConstants, p: ModelParams, lim: LimitResult) -> CovM
 def lambda_matrix(p: ModelParams, lim: LimitResult, consts: CltConstants) -> np.ndarray:
     """3x3 covariance of the limiting Gaussian process at t_inf, in
     (x, u, y) coordinates.  Entries (1,3) and (3,1) vanish identically."""
-    x = lim.x_inf
-    d = p.delta
-    od = (1.0 - d) * (1.0 - x)
+    x, d, u = lim.x_inf, p.delta, lim.u_inf
     return np.array(
         [
-            [x * (1.0 - x), -od * x, 0.0],
-            [-od * x, od * ((1.0 - d) * x + d), -consts.b],
+            [x * (1.0 - x), -u * x, 0.0],
+            [-u * x, u * ((1.0 - d) * x + d), -consts.b],
             [0.0, -consts.b, consts.d],
         ]
     )

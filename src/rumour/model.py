@@ -37,6 +37,12 @@ from rumour.errors import ConstraintViolation
 THETA_SNAP = 1e-12
 
 
+def _check(ok: bool, rule: str, name: str, value: float) -> None:
+    """Raise ConstraintViolation("<rule> violated (<name> = <value>)") unless ok."""
+    if not ok:
+        raise ConstraintViolation(f"{rule} violated ({name} = {value!r})")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """The five admissible rate/probability parameters.
@@ -62,21 +68,14 @@ class ModelParams:
             object.__setattr__(self, name, float(getattr(self, name)))
             if not math.isfinite(getattr(self, name)):
                 raise ConstraintViolation(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not self.lam > 0:
-            raise ConstraintViolation(f"lambda > 0 violated (lambda = {self.lam!r})")
-        if not self.gamma > 0:
-            raise ConstraintViolation(f"gamma > 0 violated (gamma = {self.gamma!r})")
-        if not self.theta1 >= 0:
-            raise ConstraintViolation(f"theta1 >= 0 violated (theta1 = {self.theta1!r})")
-        if not self.theta2 >= 0:
-            raise ConstraintViolation(f"theta2 >= 0 violated (theta2 = {self.theta2!r})")
-        if not 0 < self.delta <= 1:
-            raise ConstraintViolation(f"0 < delta <= 1 violated (delta = {self.delta!r})")
+        _check(self.lam > 0, "lambda > 0", "lambda", self.lam)
+        _check(self.gamma > 0, "gamma > 0", "gamma", self.gamma)
+        _check(self.theta1 >= 0, "theta1 >= 0", "theta1", self.theta1)
+        _check(self.theta2 >= 0, "theta2 >= 0", "theta2", self.theta2)
+        _check(0 < self.delta <= 1, "0 < delta <= 1", "delta", self.delta)
         raw = self.theta1 + self.theta2 - self.gamma
-        if raw < -THETA_SNAP or raw > 1 + THETA_SNAP:
-            raise ConstraintViolation(
-                f"0 <= theta <= 1 violated (theta = theta1 + theta2 - gamma = {raw!r})"
-            )
+        _check(-THETA_SNAP <= raw <= 1 + THETA_SNAP, "0 <= theta <= 1",
+               "theta = theta1 + theta2 - gamma", raw)
 
     @property
     def theta(self) -> float:
@@ -166,69 +165,26 @@ def rate_weights_fn(n: int, p: ModelParams):
 
 
 # --------------------------------------------------------------------------
-# Presets: named models mapped onto the five-parameter family.
+# Presets: named models mapped onto the five-parameter family.  The range
+# of each auxiliary parameter, as (rule, test), is written once, in
+# _AUX_RANGE.  preset_params checks a preset's values against it in the
+# preset's aux order and then maps them; pearce's mapper checks its
+# cross-parameter rule q1 + q2 <= 1 first, and ModelParams checks the
+# mapped values last (extreme pearce or kawachi inputs break theta's range).
 # --------------------------------------------------------------------------
 
 
-def _require(cond: bool, msg: str):
-    if not cond:
-        raise ConstraintViolation(msg)
+_AUX_RANGE = {
+    **dict.fromkeys(("rho", "beta"), ("in [0, 1]", lambda v: 0 <= v <= 1)),
+    **dict.fromkeys(("q1", "q2"), (">= 0", lambda v: v >= 0)),
+    **dict.fromkeys(("alpha", "p", "q", "r", "gamma", "theta"),
+                    ("in (0, 1]", lambda v: 0 < v <= 1)),
+}
 
 
-def _map_dk() -> ModelParams:
-    return ModelParams(lam=1.0, gamma=1.0, theta1=1.0, theta2=0.0, delta=1.0)
-
-
-def _map_mt() -> ModelParams:
-    return ModelParams(lam=1.0, gamma=1.0, theta1=0.0, theta2=1.0, delta=1.0)
-
-
-def _map_hayes() -> ModelParams:
-    return ModelParams(lam=1.0, gamma=1.0, theta1=2.0, theta2=0.0, delta=1.0)
-
-
-def _map_rho(rho: float) -> ModelParams:
-    _require(0 <= rho <= 1, f"rho in [0, 1] violated (rho = {rho!r})")
-    return ModelParams(lam=1.0, gamma=1.0, theta1=rho, theta2=1.0 - rho, delta=1.0)
-
-
-def _map_apq_dk(alpha: float, p: float, q: float) -> ModelParams:
-    _require(0 < alpha <= 1, f"alpha in (0, 1] violated (alpha = {alpha!r})")
-    _require(0 < p <= 1, f"p in (0, 1] violated (p = {p!r})")
-    _require(0 < q <= 1, f"q in (0, 1] violated (q = {q!r})")
-    return ModelParams(
-        lam=p,
-        gamma=alpha,
-        theta1=alpha * alpha * (2.0 - p),
-        theta2=alpha * (1.0 - alpha) * (2.0 - p),
-        delta=q,
-    )
-
-
-def _map_apq_mt(alpha: float, p: float, q: float) -> ModelParams:
-    _require(0 < alpha <= 1, f"alpha in (0, 1] violated (alpha = {alpha!r})")
-    _require(0 < p <= 1, f"p in (0, 1] violated (p = {p!r})")
-    _require(0 < q <= 1, f"q in (0, 1] violated (q = {q!r})")
-    return ModelParams(lam=p, gamma=alpha, theta1=0.0, theta2=alpha, delta=q)
-
-
-def _map_pearce(p: float, q1: float, q2: float, r: float) -> ModelParams:
-    _require(0 < p <= 1, f"p in (0, 1] violated (p = {p!r})")
-    _require(q1 >= 0, f"q1 >= 0 violated (q1 = {q1!r})")
-    _require(q2 >= 0, f"q2 >= 0 violated (q2 = {q2!r})")
-    _require(q1 + q2 <= 1, f"q1 + q2 <= 1 violated (q1 + q2 = {q1 + q2!r})")
-    _require(0 < r <= 1, f"r in (0, 1] violated (r = {r!r})")
+def _pearce(p: float, q1: float, q2: float, r: float) -> ModelParams:
+    _check(q1 + q2 <= 1, "q1 + q2 <= 1", "q1 + q2", q1 + q2)
     return ModelParams(lam=p, gamma=r / p, theta1=q2 / p, theta2=q1 / (2.0 * p), delta=1.0)
-
-
-def _map_kawachi(alpha: float, beta: float, gamma: float, theta: float) -> ModelParams:
-    _require(0 < alpha <= 1, f"alpha in (0, 1] violated (alpha = {alpha!r})")
-    _require(0 <= beta <= 1, f"beta in [0, 1] violated (beta = {beta!r})")
-    _require(0 < gamma <= 1, f"gamma in (0, 1] violated (gamma = {gamma!r})")
-    _require(0 < theta <= 1, f"theta in (0, 1] violated (theta = {theta!r})")
-    return ModelParams(
-        lam=alpha, gamma=gamma / alpha, theta1=2.0 * beta / alpha, theta2=0.0, delta=theta
-    )
 
 
 @dataclass(frozen=True)
@@ -239,29 +195,39 @@ class PresetInfo:
 
 
 PRESETS: dict[str, PresetInfo] = {
-    "dk": PresetInfo((), "lambda=1, gamma=1, theta1=1, theta2=0, delta=1", _map_dk),
-    "mt": PresetInfo((), "lambda=1, gamma=1, theta1=0, theta2=1, delta=1", _map_mt),
-    "hayes": PresetInfo((), "lambda=1, gamma=1, theta1=2, theta2=0, delta=1", _map_hayes),
-    "rho": PresetInfo(("rho",), "lambda=gamma=delta=1, theta1=rho, theta2=1-rho", _map_rho),
+    "dk": PresetInfo((), "lambda=1, gamma=1, theta1=1, theta2=0, delta=1",
+                   lambda: ModelParams(lam=1.0, gamma=1.0, theta1=1.0, theta2=0.0, delta=1.0)),
+    "mt": PresetInfo((), "lambda=1, gamma=1, theta1=0, theta2=1, delta=1",
+                   lambda: ModelParams(lam=1.0, gamma=1.0, theta1=0.0, theta2=1.0, delta=1.0)),
+    "hayes": PresetInfo((), "lambda=1, gamma=1, theta1=2, theta2=0, delta=1",
+                      lambda: ModelParams(lam=1.0, gamma=1.0, theta1=2.0, theta2=0.0, delta=1.0)),
+    "rho": PresetInfo(
+        ("rho",),
+        "lambda=gamma=delta=1, theta1=rho, theta2=1-rho",
+        lambda rho: ModelParams(lam=1.0, gamma=1.0, theta1=rho, theta2=1.0 - rho, delta=1.0),
+    ),
     "apq_dk": PresetInfo(
         ("alpha", "p", "q"),
         "lambda=p, gamma=alpha, theta1=alpha^2(2-p), theta2=alpha(1-alpha)(2-p), delta=q",
-        _map_apq_dk,
+        lambda alpha, p, q: ModelParams(
+            lam=p, gamma=alpha, theta1=alpha * alpha * (2.0 - p),
+            theta2=alpha * (1.0 - alpha) * (2.0 - p), delta=q),
     ),
     "apq_mt": PresetInfo(
         ("alpha", "p", "q"),
         "lambda=p, gamma=alpha, theta1=0, theta2=alpha, delta=q",
-        _map_apq_mt,
+        lambda alpha, p, q: ModelParams(lam=p, gamma=alpha, theta1=0.0, theta2=alpha, delta=q),
     ),
     "pearce": PresetInfo(
         ("p", "q1", "q2", "r"),
         "lambda=p, gamma=r/p, theta1=q2/p, theta2=q1/(2p), delta=1",
-        _map_pearce,
+        _pearce,
     ),
     "kawachi": PresetInfo(
         ("alpha", "beta", "gamma", "theta"),
         "lambda=alpha, gamma=gamma/alpha, theta1=2*beta/alpha, theta2=0, delta=theta",
-        _map_kawachi,
+        lambda alpha, beta, gamma, theta: ModelParams(
+            lam=alpha, gamma=gamma / alpha, theta1=2.0 * beta / alpha, theta2=0.0, delta=theta),
     ),
 }
 
@@ -284,4 +250,8 @@ def preset_params(name: str, **aux) -> ModelParams:
     extra = [k for k in aux if k not in info.aux]
     if extra:
         raise ConstraintViolation(f"preset {name!r} does not take {', '.join(extra)}")
-    return info.mapper(**{k: float(v) for k, v in aux.items()})
+    values = {k: float(v) for k, v in aux.items()}
+    for key in info.aux:
+        rule, ok = _AUX_RANGE[key]
+        _check(ok(values[key]), f"{key} {rule}", key, values[key])
+    return info.mapper(**values)

@@ -8,7 +8,9 @@ one file of a temporary copy of the repository, and runs
 
     python -m pytest -q -m "not slow" --ignore=tests/test_golden.py
 
-in the copy.  The unmutated copy runs first and must pass.  The golden
+in the copy.  Before any suite runs, every selected mutant's text is
+counted; if some do not occur exactly once, it names them all and exits
+2.  The unmutated copy runs first and must pass.  The golden
 digests are left out because they catch any change to the printed bytes;
 the question is whether a check of meaning catches the defect.  Prints
 each mutant with the tests that failed on it, and exits 1 if any mutant
@@ -117,8 +119,12 @@ MUTANTS = {
     "monte_carlo walks exact-time": (
         "src/rumour/simulate.py", "iter_final_states(n, reps, params, master_seed)",
         'iter_final_states(n, reps, params, master_seed, mode="exact-time")'),
-    "kawachi: beta bound at 2": (
-        "src/rumour/model.py", "0 <= beta <= 1", "0 <= beta <= 2"),
+    "[0, 1] aux range bound at 2": (
+        "src/rumour/model.py", "lambda v: 0 <= v <= 1", "lambda v: 0 <= v <= 2"),
+    "(0, 1] aux range closed at 0": (
+        "src/rumour/model.py", "lambda v: 0 < v <= 1", "lambda v: 0 <= v <= 1"),
+    "aux loop skips a preset's last name": (
+        "src/rumour/model.py", "for key in info.aux:", "for key in info.aux[:-1]:"),
     "pearce: q1 + q2 bound at 2": (
         "src/rumour/model.py", "q1 + q2 <= 1,", "q1 + q2 <= 2,"),
 }
@@ -141,6 +147,17 @@ def main(names: list[str]) -> int:
     if unknown:
         print(f"unknown mutants: {unknown}; known: {list(MUTANTS)}", file=sys.stderr)
         return 2
+    names = names or list(MUTANTS)
+    # a stale text is named before the suite runs, not a run per mutant later
+    stale = []
+    for name in names:
+        file, old, _ = MUTANTS[name]
+        count = (ROOT / file).read_text().count(old)
+        if count != 1:
+            stale.append(f"{name}: {old!r} occurs {count} times in {file}")
+    if stale:
+        print("\n".join(stale), file=sys.stderr)
+        return 2
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp)
         # the whole tree: some tests read README.md and perfbench/
@@ -151,14 +168,10 @@ def main(names: list[str]) -> int:
             print(f"the unmutated copy fails: {failed}", file=sys.stderr)
             return 2
         survivors = 0
-        for name in names or list(MUTANTS):
+        for name in names:
             file, old, new = MUTANTS[name]
             path = copy / file
             text = path.read_text()
-            if text.count(old) != 1:
-                print(f"{name}: {old!r} occurs {text.count(old)} times in {file}",
-                      file=sys.stderr)
-                return 2
             path.write_text(text.replace(old, new))
             try:
                 killers = run_suite(copy)

@@ -410,6 +410,26 @@ class TestConfigAndOutput:
             assert out == ""
             assert flag in err and str(missing) in err
 
+    def test_dump_to_the_output_file_exits_2(self, capsys, tmp_path, monkeypatch):
+        # the summary would overwrite the dump; refused before any
+        # simulation, under either spelling of the path, and a created
+        # --output file is removed while an existing one keeps its bytes
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulation started")
+
+        monkeypatch.setattr(simulate, "iter_final_states", refuse)
+        monkeypatch.chdir(tmp_path)
+        sim = ["simulate", "--preset", "dk", "--n", "3", "--reps", "2"]
+        old = tmp_path / "old.csv"
+        old.write_bytes(b"keep me\n")
+        for output, dump in (("new.csv", "new.csv"), ("new.csv", str(tmp_path / "new.csv")),
+                             ("old.csv", "old.csv"), ("old.csv", "./old.csv")):
+            code, out, err = run_cli(capsys, *sim, "--output", output, "--dump", dump)
+            assert (code, out) == (2, ""), (output, dump)
+            assert err == f"error: --dump {dump}: the same file as --output {output}\n"
+            assert not (tmp_path / "new.csv").exists()
+            assert old.read_bytes() == b"keep me\n"
+
     def test_failed_command_leaves_output_untouched(self, capsys, tmp_path):
         new = tmp_path / "new.json"
         old = tmp_path / "old.json"

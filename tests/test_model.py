@@ -52,6 +52,25 @@ class TestValidation:
         with pytest.raises(ConstraintViolation):
             ModelParams(lam=1, gamma=1, theta1=2.0, theta2=1e-9, delta=1)
 
+    def test_first_broken_rule_reported(self):
+        # lambda, gamma, theta1, theta2 and delta in that order, theta
+        # last: every subset of broken ranges, each with theta broken too
+        good = dict(lam=1.0, gamma=1.0, theta1=4.0, theta2=0.0, delta=1.0)
+        bad = dict(lam=0.0, gamma=0.0, theta1=-1.0, theta2=-1.0, delta=0.0)
+        rules = dict(lam="lambda > 0 violated (lambda", gamma="gamma > 0 violated (gamma",
+                     theta1="theta1 >= 0 violated (theta1", theta2="theta2 >= 0 violated (theta2",
+                     delta="0 < delta <= 1 violated (delta")
+        for k in range(len(good) + 1):
+            for broken in itertools.combinations(good, k):
+                kwargs = good | {name: bad[name] for name in broken}
+                with pytest.raises(ConstraintViolation) as err:
+                    ModelParams(**kwargs)
+                raw = kwargs["theta1"] + kwargs["theta2"] - kwargs["gamma"]
+                assert not 0 <= raw <= 1
+                want = (f"{rules[broken[0]]} = {bad[broken[0]]!r})" if broken else
+                        f"0 <= theta <= 1 violated (theta = theta1 + theta2 - gamma = {raw!r})")
+                assert str(err.value) == want, broken
+
     def test_theta_recomputed_not_stored(self):
         p = ModelParams(lam=1, gamma=0.7, theta1=0.4, theta2=0.6, delta=0.5)
         assert p.theta == 0.4 + 0.6 - 0.7
@@ -273,6 +292,33 @@ class TestPresets:
             msg = str(err.value)
             assert msg.startswith((f"{name} in ", f"{name} >= 0 ")), msg
             assert msg.endswith(f"({name} = {bad!r})"), msg
+
+    @pytest.mark.parametrize("preset, good, bad", [
+        ("apq_dk", dict(alpha=0.5, p=0.5, q=0.5), dict(alpha=0.0, p=1.5, q=0.0)),
+        ("apq_mt", dict(alpha=0.5, p=0.5, q=0.5), dict(alpha=1.5, p=0.0, q=1.5)),
+        ("pearce", dict(p=1.0, q1=0.5, q2=0.5, r=0.5), dict(p=0.0, q1=-1.0, q2=-1.0, r=0.0)),
+        ("kawachi", dict(alpha=1.0, beta=0.5, gamma=1.0, theta=0.5),
+         dict(alpha=0.0, beta=1.5, gamma=0.0, theta=1.5)),
+    ])
+    def test_first_broken_aux_range_reported(self, preset, good, bad):
+        # every subset of broken ranges names the first in the preset's
+        # aux order: apq's alpha, then p, then q; kawachi's beta before
+        # gamma
+        assert tuple(good) == PRESETS[preset].aux
+        for k in range(1, len(good) + 1):
+            for broken in itertools.combinations(good, k):
+                with pytest.raises(ConstraintViolation) as err:
+                    preset_params(preset, **good | {name: bad[name] for name in broken})
+                first = broken[0]
+                assert str(err.value).startswith((f"{first} in ", f"{first} >= 0 ")), broken
+                assert str(err.value).endswith(f"({first} = {bad[first]!r})"), broken
+
+    def test_pearce_ranges_before_q1_plus_q2(self):
+        # a single parameter's range is named before the cross-parameter
+        # rule q1 + q2 <= 1
+        with pytest.raises(ConstraintViolation) as err:
+            preset_params("pearce", p=1.0, q1=1.0, q2=0.5, r=0.0)
+        assert str(err.value) == "r in (0, 1] violated (r = 0.0)"
 
     def test_pearce_q1_plus_q2_at_most_one(self):
         # q1 + q2 = 1 is taken; the float just above 1 is refused
