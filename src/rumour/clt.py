@@ -9,11 +9,11 @@ the fluid absorption time), the deterministic fluid trajectory, and an
 independent numerical evaluation of Lambda by integrating the Lyapunov
 equation
 
-    dL/dt = dF L + L dF' + G(v(t)),   L(0) = 0,
+    dL/dtau = dF L + L dF' + G(v(tau)),   L(0) = 0,
 
-along the fluid trajectory up to t_inf, where dF is the drift Jacobian
-and G the local fluctuation covariance.  The last route shares no algebra
-with the closed forms and is the module's correctness oracle.
+on Lambda's six distinct entries along the fluid trajectory up to t_inf,
+where dF is the drift Jacobian and G the local fluctuation covariance;
+it shares no algebra with the closed forms and is the module's oracle.
 """
 
 from __future__ import annotations
@@ -174,88 +174,87 @@ ODE_ATOL = 1e-12
 # the fifth-order solution, so stage 7 is the next step's stage 1), and the
 # fifth- minus fourth-order weights.
 _DP_C = (0.2, 0.3, 0.8, 8.0 / 9.0, 1.0, 1.0)
-_DP_A = np.array([
-    [1 / 5, 0, 0, 0, 0, 0],
-    [3 / 40, 9 / 40, 0, 0, 0, 0],
-    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0],
-    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-])
-_DP_E = np.array([71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+_DP_A = ((1 / 5,),
+         (3 / 40, 9 / 40),
+         (44 / 45, -56 / 15, 32 / 9),
+         (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+         (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 
-def _dopri5(rhs, y: np.ndarray, tf: float, h: float) -> np.ndarray:
-    """y(tf) for y' = rhs(t, y) from y(0) = y, by the adaptive
-    Dormand-Prince 5(4) pair with h as the first trial step.
+def _dopri5(rhs, y, tf: float, h: float) -> list[float]:
+    """y(tf) for y' = rhs(t, y) from y(0) = y, a sequence of floats, by the
+    adaptive Dormand-Prince 5(4) pair with h as the first trial step.
 
     A step is accepted when the root mean square of its embedded error
-    estimate, each component divided by ODE_ATOL + ODE_RTOL*max(|y|,
-    |y_new|), is at most 1.  Either way the next trial step is
+    estimate, each component divided by ODE_ATOL + ODE_RTOL*max(|y_new|,
+    |y|), is at most 1.  Either way the next trial step is
     h*0.9*err**(-1/5), the factor clipped to [0.2, 10], and no step passes
     tf, so the last one lands on it.  Raises IntegrationFailure on a
     non-finite error norm or after 10**5 trial steps.
     """
-    k = np.empty((7, y.size))
-    k[0] = rhs(0.0, y)
-    stages = [(c, a[: i + 1], k[: i + 1], k[i + 1]) for i, (c, a) in enumerate(zip(_DP_C, _DP_A))]
-    t = 0.0
+    c2, c3, c4, c5, c6, c7 = _DP_C
+    ((a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
+     (a61, a62, a63, a64, a65), (a71, _, a73, a74, a75, a76)) = _DP_A
+    e1, _, e3, e4, e5, e6, e7 = _DP_E
+    k1, t = rhs(0.0, y), 0.0
     for _ in range(100_000):
-        last = h >= tf - t
-        if last:
+        if last := h >= tf - t:
             h = tf - t
-        for c, a, ks, k_next in stages:
-            y_new = y + h * (a @ ks)
-            k_next[:] = rhs(t + c * h, y_new)
-        scale = ODE_ATOL + ODE_RTOL * np.maximum(np.abs(y), np.abs(y_new))
-        v = np.square(h * (_DP_E @ k) / scale)
-        # np.mean's sum and division, without its Python-level wrapper
-        err = math.sqrt(np.add.reduce(v) / v.size)
+        k2 = rhs(t + c2 * h, [v + h * (a21 * p) for v, p in zip(y, k1)])
+        k3 = rhs(t + c3 * h, [v + h * (a31 * p + a32 * q) for v, p, q in zip(y, k1, k2)])
+        k4 = rhs(t + c4 * h, [v + h * (a41 * p + a42 * q + a43 * r)
+                              for v, p, q, r in zip(y, k1, k2, k3)])
+        k5 = rhs(t + c5 * h, [v + h * (a51 * p + a52 * q + a53 * r + a54 * s)
+                              for v, p, q, r, s in zip(y, k1, k2, k3, k4)])
+        k6 = rhs(t + c6 * h, [v + h * (a61 * p + a62 * q + a63 * r + a64 * s + a65 * w)
+                              for v, p, q, r, s, w in zip(y, k1, k2, k3, k4, k5)])
+        y_new = [v + h * (a71 * p + a73 * r + a74 * s + a75 * w + a76 * z)
+                 for v, p, r, s, w, z in zip(y, k1, k3, k4, k5, k6)]
+        k7 = rhs(t + c7 * h, y_new)
+        # max(nan, b) is nan, so a nan in y_new makes err nan
+        est = [h * (e1 * p + e3 * r + e4 * s + e5 * w + e6 * z + e7 * q)
+               / (ODE_ATOL + ODE_RTOL * max(abs(n), abs(v)))
+               for v, n, p, r, s, w, z, q in zip(y, y_new, k1, k3, k4, k5, k6, k7)]
+        err = math.sqrt(sum(e * e for e in est) / len(est))
         if not math.isfinite(err):
             raise IntegrationFailure(f"non-finite error estimate at t = {t!r}")
         if err <= 1.0:
             if last:
                 return y_new
-            t, y, k[0] = t + h, y_new, k[6]
+            t, y, k1 = t + h, y_new, k7
         h *= min(10.0, max(0.2, 0.9 * err**-0.2)) if err > 0.0 else 10.0
     raise IntegrationFailure(f"no step to t = {tf!r} met the tolerance in 10**5 trials")
 
 
 def numerical_lambda_via_ode(p: ModelParams, lim: LimitResult) -> np.ndarray:
-    """Integrate the Lyapunov equation for Lambda from 0 to t_inf.
+    """Integrate the Lyapunov equation for Lambda from 0 to t_inf, on its
+    six distinct entries in Python floats.  With a = l(1-d), b = l(g+d),
+    c = l*th, x = exp(-l*tau), y = f_th(x) (d = delta, g = gamma, th =
+    theta) and dF = [[-l, 0, 0], [a, 0, 0], [b, 0, -c]], dF L + L dF' + G is
 
-    dF is constant; G is evaluated along the closed-form fluid trajectory.
-    The result must match lambda_matrix to integrator accuracy; this is an
-    independent check of the closed-form constants (notably C, D and the
-    kappa bookkeeping).
+        xx' = l(x - 2 xx),   xu' = a(xx - x) - l xu,   uu' = a(2 xu + x),
+        xy' = b xx - (l + c) xy - l d x,   uy' = a xy + b xu - c uy,
+        yy' = 2(b xy - c yy) + l(d - g) x + l(kappa - th + 2g) y + l g.
+
+    Returns the symmetric 3x3 float64 array.  It must match lambda_matrix
+    to integrator accuracy: an independent check of the closed-form
+    constants (notably C, D and the kappa bookkeeping).
     """
-    g, d, la = p.gamma, p.delta, p.lam
-    th = p.theta
+    g, d, la, th = p.gamma, p.delta, p.lam, p.theta
     kappa = 3.0 * p.theta1 + 2.0 * p.theta2 - 4.0 * g
     tf = t_infinity(p, lim)
     f = _target(p)[0]
+    a, b, c = la * (1.0 - d), la * (g + d), la * th
+    gx, gy, gc = la * (d - g), la * (kappa - th + 2.0 * g), la * g
 
-    dF = np.array(
-        [
-            [-la, 0.0, 0.0],
-            [la * (1.0 - d), 0.0, 0.0],
-            [la * (g + d), 0.0, -la * th],
-        ]
-    )
-    # vec(dF L + L dF') = (dF x I + I x dF) vec(L) for row-major vec
-    lyap = np.kron(dF, np.eye(3)) + np.kron(np.eye(3), dF)
-    # G = [[la x, -la (1-d) x, -la d x], [., la (1-d) x, 0],
-    #      [., 0, la (d-g) x + la (kappa - th + 2g) y + la g]] is gx*x plus
-    # gy*y + gc in its last entry, each sum taken left to right as written;
-    # the last entry in Python floats, the same double operations as numpy's
-    gx8, gy, gc = la * (d - g), la * (kappa - th + 2.0 * g), la * g
-    gx = np.array([la, -la * (1.0 - d), -la * d, -la * (1.0 - d), la * (1.0 - d), 0.0,
-                   -la * d, 0.0, gx8])
-
-    def rhs(t, flat):
+    def rhs(t, v):
+        xx, xu, xy, uu, uy, yy = v
         x = math.exp(-la * t)
-        G = gx * x
-        G[8] = gx8 * x + gy * f(x) + gc
-        return lyap @ flat + G
+        return (la * (x - 2.0 * xx), a * (xx - x) - la * xu,
+                b * xx - (la + c) * xy - la * d * x, a * (2.0 * xu + x),
+                a * xy + b * xu - c * uy, 2.0 * (b * xy - c * yy) + gx * x + gy * f(x) + gc)
 
-    return _dopri5(rhs, np.zeros(9), tf, tf).reshape(3, 3)
+    xx, xu, xy, uu, uy, yy = _dopri5(rhs, [0.0] * 6, tf, tf)
+    return np.array([[xx, xu, xy], [xu, uu, uy], [xy, uy, yy]])

@@ -56,7 +56,11 @@ MUTANTS = {
     "Dormand-Prince a65 = -5103/18657": (
         "src/rumour/clt.py", "-5103 / 18656", "-5103 / 18657"),
     "ODE error norm over size - 1": (
-        "src/rumour/clt.py", "np.add.reduce(v) / v.size", "np.add.reduce(v) / (v.size - 1)"),
+        "src/rumour/clt.py", "/ len(est))", "/ (len(est) - 1))"),
+    "Lyapunov ODE: uu row without its factor 2": (
+        "src/rumour/clt.py", "a * (2.0 * xu + x)", "a * (xu + x)"),
+    "Lyapunov ODE: xy row decays at c, not lambda + c": (
+        "src/rumour/clt.py", "(la + c) * xy", "c * xy"),
     "B: gamma + theta": (
         "src/rumour/clt.py", "/ (g + d * th)", "/ (g + th)"),
     "delta = 1 w1 fill at a subnormal": (
