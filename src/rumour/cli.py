@@ -212,18 +212,17 @@ def cmd_fluid(ns, settings, params, header) -> tuple[int, str]:
     t_max = t_inf if ns.t_max is None else ns.t_max
     if not 0.0 <= t_max <= t_inf:
         raise UsageError(f"--t-max must be in [0, t_inf = {t_inf!r}], got {t_max}")
-    grid = np.linspace(0.0, t_max, ns.points)
-    points = clt_mod.fluid_trajectory(grid, params)
+    rows = clt_mod.fluid_trajectory(np.linspace(0.0, t_max, ns.points), params)
     if ns.format == "csv":
         lines = ["t,x,u,y"]
-        lines += [f"{pt.t:.17g},{pt.x:.17g},{pt.u:.17g},{pt.y:.17g}" for pt in points]
+        lines += [f"{r['t']:.17g},{r['x']:.17g},{r['u']:.17g},{r['y']:.17g}" for r in rows]
         return 0, "\n".join(lines) + "\n"
-    return 0, jsonio.dumps({**header, "t_inf": t_inf, "points": [
-        {"t": pt.t, "x": pt.x, "u": pt.u, "y": pt.y} for pt in points]})
+    return 0, jsonio.dumps({**header, "t_inf": t_inf, "points": rows})
 
 
 def cmd_simulate(ns, settings, params, header) -> tuple[int, str]:
     n, reps, seed, mode = settings
+    sim_mod._check_absorbs(n, params)  # iter_final_states checks after --dump is opened
     # --output is open by now; the summary would overwrite a dump written
     # to the same regular file (a device such as /dev/null takes both)
     if ns.dump and ns.output and os.path.exists(ns.dump):
@@ -270,16 +269,18 @@ def cmd_verify(ns, settings, params, header) -> tuple[int, str]:
 
 
 def cmd_oracle(ns, n, params, header) -> tuple[int, str]:
-    dist = sim_mod.exact_final_distribution(n, params)
-    # (x, u) in row-major order, as np.nonzero yields them
-    entries = dist.support()
+    probs = sim_mod.exact_final_distribution(n, params)
+    xs, us = np.nonzero(probs)  # (x, u) in row-major order
+    rows = [{"x": x, "u": u, "p": p}
+            for x, u, p in zip(xs.tolist(), us.tolist(), probs[xs, us].tolist())]
     if ns.format == "csv":
         lines = ["x,u,p"]
-        lines += [f"{x},{u},{p:.17g}" for (x, u), p in entries]
+        lines += [f"{r['x']},{r['u']},{r['p']:.17g}" for r in rows]
         return 0, "\n".join(lines) + "\n"
     return 0, jsonio.dumps({
-        **header, "n": dist.n, "total_mass": dist.total_mass(), "mean_x": dist.mean_x(),
-        "mean_u": dist.mean_u(), "support": [{"x": x, "u": u, "p": p} for (x, u), p in entries]})
+        **header, "n": n, "total_mass": float(probs.sum()),
+        "mean_x": float(probs.sum(axis=1) @ np.arange(n + 1)) / n,
+        "mean_u": float(probs.sum(axis=0) @ np.arange(n + 2)) / n, "support": rows})
 
 
 def cmd_presets(ns, settings, params, header) -> tuple[int, str]:

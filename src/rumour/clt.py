@@ -54,17 +54,6 @@ class CovMatrix2:
         return [[self.s11, self.s12], [self.s12, self.s22]]
 
 
-@dataclass(frozen=True)
-class FluidPoint:
-    """Point on the deterministic large-N trajectory: x(t) = exp(-lambda t),
-    u = (1-delta)(1-x), y = f_theta(x)."""
-
-    t: float
-    x: float
-    u: float
-    y: float
-
-
 def clt_constants(p: ModelParams, lim: LimitResult) -> CltConstants:
     """Evaluate kappa, A, B, C and D.
 
@@ -140,23 +129,15 @@ def sigma_from_lambda(lam: np.ndarray, a: float, delta: float) -> CovMatrix2:
 # --------------------------------------------------------------------------
 
 
-def fluid_trajectory(t_grid, p: ModelParams) -> list[FluidPoint]:
-    """Evaluate the closed-form fluid trajectory on a grid of times on the
-    clock tau, d tau = Y dt, where x = exp(-lambda tau); this is not the
-    chain's clock t, which `simulate --mode exact-time` reports."""
+def fluid_trajectory(t_grid, p: ModelParams) -> list[dict]:
+    """The closed-form fluid trajectory on a grid of times, one row
+    {"t", "x", "u", "y"} of floats per time: x = exp(-lambda t),
+    u = (1 - delta)(1 - x) and y = f_theta(x).  t is on the clock tau,
+    d tau = Y dt; this is not the chain's clock, which `simulate --mode
+    exact-time` reports."""
     f = _target(p)[0]
-    out = []
-    for t in t_grid:
-        x = math.exp(-p.lam * t)
-        out.append(
-            FluidPoint(
-                t=float(t),
-                x=x,
-                u=(1.0 - p.delta) * (1.0 - x),
-                y=f(x),
-            )
-        )
-    return out
+    return [{"t": float(t), "x": x, "u": (1.0 - p.delta) * (1.0 - x), "y": f(x)}
+            for t in t_grid for x in [math.exp(-p.lam * t)]]
 
 
 def t_infinity(p: ModelParams, lim: LimitResult) -> float:

@@ -39,8 +39,9 @@ formula.  A dk replication at N = 10^4 takes about 0.95 ms, against 1.28
 ms one step at a time, and four at N = 10^6 take about 1.3 s, against
 38.6 s.
 
-For small populations an exact final-state distribution is available by
-propagating probability mass through the jump-chain DAG.
+For small populations, exact_final_distribution returns the exact joint
+law of the final (X, U) as the array probs[x, u], by propagating
+probability mass through the jump-chain DAG.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from rumour.clt import CovMatrix2
-from rumour.errors import TooLarge
+from rumour.errors import DomainError, TooLarge
 from rumour.limits import LimitResult
 from rumour.model import ModelParams, rate_weights, rate_weights_fn
 
@@ -367,6 +368,14 @@ def _philox_rows(master_seed, chunk_index, stream, rows, m, buf):
     return read
 
 
+def _check_absorbs(n: int, params: ModelParams) -> None:
+    """Raise DomainError at theta1 = theta2 = 0, admissible for gamma within
+    THETA_SNAP of 0 alone: no move leaves X = 0, Y = N + 1, where the chain
+    then stops short of absorption with probability delta^N."""
+    if params.theta1 == 0.0 and params.theta2 == 0.0:
+        raise DomainError(f"theta1 = theta2 = 0: no move leaves X = 0, Y = N + 1 = {n + 1}")
+
+
 def iter_final_states(
     n: int,
     reps: int,
@@ -377,14 +386,15 @@ def iter_final_states(
 ) -> Iterator[ReplicationBlock]:
     """Stream replication results in chunk order, running each chunk on the
     calling thread when its block is requested, so one chunk is in flight
-    at a time.  workers is accepted and ignored; it goes once no caller
-    passes it."""
+    at a time, and raises DomainError before the first (_check_absorbs).
+    workers is accepted and ignored; it goes once no caller passes it."""
     if n < 1:
         raise ValueError(f"population parameter must be >= 1, got {n}")
     if reps < 0:
         raise ValueError(f"reps must be >= 0, got {reps}")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    _check_absorbs(n, params)
     size, m = _chunk_size(n), 2 * n + 1
     shape = (min(reps, size), min(m, _BLOCK))
     sel_buf = np.empty(shape)
@@ -499,31 +509,11 @@ def write_replications_csv(fh, blocks: Iterable[ReplicationBlock]) -> None:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExactDistribution:
-    """Joint law of (X_final, U_final); probs[x, u] for 0 <= x <= n,
-    0 <= u <= n + 1."""
+def exact_final_distribution(n: int, params: ModelParams) -> np.ndarray:
+    """The joint law of (X_final, U_final) as the (n + 1) x (n + 2) float64
+    array probs[x, u], 0 <= x <= n and 0 <= u <= n + 1.
 
-    n: int
-    probs: np.ndarray
-
-    def support(self) -> Iterator[tuple[tuple[int, int], float]]:
-        """The nonzero cells ((x, u), p) in increasing (x, u) order."""
-        xs, us = np.nonzero(self.probs)
-        return zip(zip(xs.tolist(), us.tolist()), self.probs[xs, us].tolist())
-
-    def total_mass(self) -> float:
-        return float(self.probs.sum())
-
-    def mean_x(self) -> float:
-        return float(self.probs.sum(axis=1) @ np.arange(self.n + 1)) / self.n
-
-    def mean_u(self) -> float:
-        return float(self.probs.sum(axis=0) @ np.arange(self.probs.shape[1])) / self.n
-
-
-def exact_final_distribution(n: int, params: ModelParams) -> ExactDistribution:
-    """Pull probability mass through the jump-chain DAG, one level at a time.
+    Pull probability mass through the jump-chain DAG, one level at a time.
 
     Every move lowers the level L = 2X + Y: by 1 when a spreader informs
     an ignorant (w0) or one spreader stops (w3), by 2 when an ignorant
@@ -575,7 +565,7 @@ def exact_final_distribution(n: int, params: ModelParams) -> ExactDistribution:
         c += q3[lev + 1, s, None] * one[s]
         if lev % 2 == 0:
             probs[lev // 2] = cur[lev // 2]
-    return ExactDistribution(n=n, probs=probs)
+    return probs
 
 
 # --------------------------------------------------------------------------

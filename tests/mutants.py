@@ -131,6 +131,13 @@ MUTANTS = {
         "src/rumour/model.py", "for key in info.aux:", "for key in info.aux[:-1]:"),
     "pearce: q1 + q2 bound at 2": (
         "src/rumour/model.py", "q1 + q2 <= 1,", "q1 + q2 <= 2,"),
+    "simulate: theta1 = theta2 = 0 guard removed": (
+        "src/rumour/simulate.py", "if params.theta1 == 0.0 and params.theta2 == 0.0:",
+        "if False:"),
+    "oracle: mean_x over n + 1": (
+        "src/rumour/cli.py", "@ np.arange(n + 1)) / n,", "@ np.arange(n + 1)) / (n + 1),"),
+    "fluid: u without its factor 1 - delta": (
+        "src/rumour/clt.py", '"u": (1.0 - p.delta) * (1.0 - x)', '"u": (1.0 - x)'),
 }
 
 

@@ -27,7 +27,7 @@ from rumour.clt import CovMatrix2
 from rumour.errors import NotApplicable
 from rumour.limits import _lambert_w
 from rumour.model import ModelParams, rate_weights
-from rumour.simulate import ExactDistribution, iter_final_states
+from rumour.simulate import iter_final_states
 
 
 def _x_w0(h: float) -> float:
@@ -127,6 +127,13 @@ def final_state_counts(
             xu = (k // stride, k % stride)
             counts[xu] = counts.get(xu, 0) + c
     return counts
+
+
+def support(probs: np.ndarray) -> list[tuple[tuple[int, int], float]]:
+    """The nonzero cells ((x, u), p) of an exact law probs[x, u], in
+    increasing (x, u) order."""
+    xs, us = np.nonzero(probs)
+    return list(zip(zip(xs.tolist(), us.tolist()), probs[xs, us].tolist()))
 
 
 def exact_probs_by_slices(n: int, params: ModelParams) -> np.ndarray:
@@ -243,22 +250,23 @@ class GofResult:
     cells: int  # cells kept individually (expected count >= threshold)
 
 
-def goodness_of_fit(counts: Mapping[tuple[int, int], int], dist: ExactDistribution) -> GofResult:
+def goodness_of_fit(counts: Mapping[tuple[int, int], int], probs: np.ndarray) -> GofResult:
     """Pearson chi-square of observed final-state counts against the exact
-    law, pooling cells whose expected count falls below GOF_MIN_EXPECTED."""
+    law probs[x, u], pooling cells whose expected count falls below
+    GOF_MIN_EXPECTED."""
     total = sum(counts.values())
-    support = list(dist.support())
-    support_keys = {k for k, _ in support}
+    cells = support(probs)
+    support_keys = {k for k, _ in cells}
     stray = sum(c for k, c in counts.items() if k not in support_keys)
     if stray:
         # observed mass on an impossible state: reject outright
-        return GofResult(chi2=math.inf, dof=max(1, len(support) - 1), pvalue=0.0, cells=len(support))
+        return GofResult(chi2=math.inf, dof=max(1, len(cells) - 1), pvalue=0.0, cells=len(cells))
 
     chi2 = 0.0
     kept = 0
     pooled_exp = 0.0
     pooled_obs = 0
-    for key, prob in support:
+    for key, prob in cells:
         exp = prob * total
         obs = counts.get(key, 0)
         if exp >= GOF_MIN_EXPECTED:

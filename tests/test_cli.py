@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -20,6 +23,17 @@ def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def run_csv(capsys, *argv):
+    code, out, err = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0, err
+    return list(csv.DictReader(io.StringIO(out)))
+
+
+# theta1 = theta2 = 0, admissible for gamma within THETA_SNAP of 0: no move
+# leaves X = 0, Y = N + 1, where the chain stops with probability delta^N
+ZERO_THETA = ("--lambda", "1", "--theta1", "0", "--theta2", "0")
 
 
 class TestLimit:
@@ -114,10 +128,14 @@ class TestFluid:
 
     def test_201_points_round_trip(self, capsys):
         params = ModelParams(lam=1.3, gamma=0.7, theta1=0.4, theta2=0.55, delta=0.6)
-        obj = run_json(capsys, "fluid", "--points", "201", "--lambda", "1.3", "--gamma", "0.7",
-                       "--theta1", "0.4", "--theta2", "0.55", "--delta", "0.6")
+        argv = ["fluid", "--points", "201", "--lambda", "1.3", "--gamma", "0.7",
+                "--theta1", "0.4", "--theta2", "0.55", "--delta", "0.6"]
+        obj = run_json(capsys, *argv)
         want = clt.fluid_trajectory(np.linspace(0.0, obj["t_inf"], 201), params)
-        assert obj["points"] == [{"t": p.t, "x": p.x, "u": p.u, "y": p.y} for p in want]
+        assert obj["points"] == want
+        # every CSV value reads back as the float in the JSON row, same keys
+        rows = run_csv(capsys, *argv)
+        assert [{k: float(v) for k, v in r.items()} for r in rows] == obj["points"]
 
     def test_csv(self, capsys):
         code, out, _ = run_cli(capsys, "fluid", "--preset", "mt",
@@ -263,15 +281,39 @@ class TestOracleAndPresets:
 
     def test_oracle_n60_round_trips(self, capsys):
         # the largest n, where the support is one long table: every p reads
-        # back as the double in probs, in support() order
-        argv = ["--preset", "apq_dk", "--alpha", "0.8", "--p", "0.7", "--q", "0.5"]
-        obj = run_json(capsys, "oracle", "--n", "60", *argv)
-        probs = simulate.exact_final_distribution(60, preset_params(
-            "apq_dk", alpha=0.8, p=0.7, q=0.5)).probs
+        # back as the double in probs, in np.nonzero order
+        n = 60
+        argv = ["oracle", "--n", str(n), "--preset", "apq_dk", "--alpha", "0.8", "--p", "0.7",
+                "--q", "0.5"]
+        obj = run_json(capsys, *argv)
+        sup = obj["support"]
+        probs = simulate.exact_final_distribution(n, preset_params(
+            "apq_dk", alpha=0.8, p=0.7, q=0.5))
         xs, us = np.nonzero(probs)
-        assert [(r["x"], r["u"]) for r in obj["support"]] == list(zip(xs.tolist(), us.tolist()))
-        assert [r["p"] for r in obj["support"]] == probs[xs, us].tolist()
-        assert all(type(r["x"]) is int and type(r["p"]) is float for r in obj["support"])
+        assert [(r["x"], r["u"]) for r in sup] == list(zip(xs.tolist(), us.tolist()))
+        assert [r["p"] for r in sup] == probs[xs, us].tolist()
+        assert all(type(r["x"]) is int and type(r["p"]) is float for r in sup)
+        # the CSV rows are the support, ints read by int() and p by float()
+        rows = run_csv(capsys, *argv)
+        assert [{"x": int(r["x"]), "u": int(r["u"]), "p": float(r["p"])} for r in rows] == sup
+        # the mass and the means follow from the printed support
+        for key, moment in (("total_mass", lambda r: r["p"]),
+                            ("mean_x", lambda r: r["x"] * r["p"] / n),
+                            ("mean_u", lambda r: r["u"] * r["p"] / n)):
+            assert math.isclose(obj[key], math.fsum(map(moment, sup)), rel_tol=1e-12), key
+
+    def test_oracle_at_zero_theta(self, capsys):
+        # the oracle keeps the mass that stops at X = 0, Y = N + 1 unabsorbed:
+        # delta^N of it, and all of it at delta = 1, where the support is empty
+        obj = run_json(capsys, "oracle", "--n", "4", *ZERO_THETA, "--gamma", "1e-13",
+                       "--delta", "0.7")
+        assert math.isclose(obj["total_mass"], 1.0 - 0.7**4, rel_tol=1e-12)
+        stuck = ["oracle", "--n", "3", *ZERO_THETA, "--gamma", "1e-13", "--delta", "1"]
+        code, out, _ = run_cli(capsys, *stuck)
+        assert code == 0 and '\n  "support": []\n' in out
+        obj = json.loads(out)
+        assert (obj["total_mass"], obj["mean_x"], obj["mean_u"]) == (0.0, 0.0, 0.0)
+        assert run_cli(capsys, *stuck, "--format", "csv")[:2] == (0, "x,u,p\n")
 
     def test_oracle_too_large_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "oracle", "--preset", "dk", "--n", "100")
@@ -429,6 +471,31 @@ class TestConfigAndOutput:
             assert err == f"error: --dump {dump}: the same file as --output {output}\n"
             assert not (tmp_path / "new.csv").exists()
             assert old.read_bytes() == b"keep me\n"
+
+    def test_zero_theta_simulation_exits_2(self, capsys, tmp_path, monkeypatch):
+        # the chain need not absorb: simulate and verify refuse before any
+        # output is written, create no file and keep an existing one's bytes
+        monkeypatch.chdir(tmp_path)
+        old = tmp_path / "old.json"
+        old.write_bytes(b"keep me\n")
+        # verify solves x_inf first, which underflows at the first two
+        # points (exit 2 with its own message); at the third, it gets past
+        for gamma, delta, n, cmds in (("1e-13", "1", "3", ["simulate"]),
+                                      ("1e-13", "0.7", "4", ["simulate"]),
+                                      ("1e-12", "1e-13", "4", ["simulate", "verify"])):
+            sim = [*ZERO_THETA, "--gamma", gamma, "--delta", delta, "--n", n, "--reps", "20"]
+            argvs = [[cmd, *sim, *extra] for cmd in cmds for extra in (
+                [], ["--mode", "exact-time"], ["--output", "o.json"], ["--output", "old.json"])]
+            argvs += [["simulate", *sim, "--dump", "d.csv"],
+                      ["simulate", *sim, "--output", "o.json", "--dump", "d.csv"],
+                      ["simulate", *sim, "--output", "old.json", "--dump", "old.json"]]
+            for argv in argvs:
+                code, out, err = run_cli(capsys, *argv)
+                assert (code, out) == (2, ""), argv
+                assert err == (f"error: theta1 = theta2 = 0: no move leaves X = 0, "
+                               f"Y = N + 1 = {int(n) + 1}\n"), argv
+                assert os.listdir(tmp_path) == ["old.json"], argv
+                assert old.read_bytes() == b"keep me\n"
 
     def test_failed_command_leaves_output_untouched(self, capsys, tmp_path):
         new = tmp_path / "new.json"

@@ -266,9 +266,9 @@ class TestFluidAndTime:
         for _ in range(30):
             p = random_params(rng)
             pt = fluid_trajectory([0.0], p)[0]
-            assert pt.x == 1.0
-            assert pt.u == 0.0
-            assert abs(pt.y) <= 1e-14
+            assert pt["x"] == 1.0
+            assert pt["u"] == 0.0
+            assert abs(pt["y"]) <= 1e-14
 
     def test_hits_limit_at_t_inf(self):
         rng = rng_for("fluid-end")
@@ -277,16 +277,16 @@ class TestFluidAndTime:
             lim = solve_x_infinity(p)
             tf = t_infinity(p, lim)
             pt = fluid_trajectory([tf], p)[0]
-            assert abs(pt.x - lim.x_inf) <= 1e-10
-            assert abs(pt.u - lim.u_inf) <= 1e-10
-            assert abs(pt.y) <= 1e-10
+            assert abs(pt["x"] - lim.x_inf) <= 1e-10
+            assert abs(pt["u"] - lim.u_inf) <= 1e-10
+            assert abs(pt["y"]) <= 1e-10
 
     def test_initial_spreader_growth_rate(self):
         # finite-difference slope of y at 0 equals lambda * delta
         for p in (preset_params("dk"), preset_params("apq_dk", alpha=0.8, p=0.7, q=0.6)):
             h = 1e-7
             traj = fluid_trajectory([0.0, h], p)
-            slope = (traj[1].y - traj[0].y) / h
+            slope = (traj[1]["y"] - traj[0]["y"]) / h
             assert math.isclose(slope, p.lam * p.delta, rel_tol=1e-4)
             assert slope > 0.0
 

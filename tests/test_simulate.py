@@ -6,9 +6,9 @@ import pytest
 
 from conftest import random_params, rng_for
 from oracles import (exact_probs_by_slices, final_state_counts, goodness_of_fit,
-                     minor_outbreak_leading)
+                     minor_outbreak_leading, support)
 from rumour.clt import CovMatrix2, clt_constants, sigma_matrix
-from rumour.errors import TooLarge
+from rumour.errors import DomainError, TooLarge
 from rumour.limits import LimitResult, solve_x_infinity
 from rumour import simulate
 from rumour.model import ModelParams, preset_params
@@ -81,6 +81,21 @@ class TestRunOne:
             next(iter_final_states(5, -1, p, 1))
         with pytest.raises(ValueError, match="population"):
             exact_final_distribution(0, p)
+
+    @pytest.mark.parametrize("delta", [1.0, 0.7])
+    def test_zero_theta_refused_before_any_chunk(self, delta, monkeypatch):
+        # theta1 = theta2 = 0: no move leaves X = 0, Y = N + 1, which the
+        # chain reaches with probability delta^N, so a replication need not
+        # absorb; the oracle keeps that mass (test_zero_rate_state_keeps_its_mass)
+        def refuse(*args):
+            raise AssertionError("a chunk was walked")
+
+        monkeypatch.setattr(simulate, "_chunk_kernel", refuse)
+        p = ModelParams(lam=1.0, gamma=1e-13, theta1=0.0, theta2=0.0, delta=delta)
+        with pytest.raises(DomainError, match=r"^theta1 = theta2 = 0: .* Y = N \+ 1 = 5$"):
+            next(iter_final_states(4, 10, p, 1))
+        with pytest.raises(DomainError, match="theta1 = theta2 = 0"):
+            monte_carlo(4, 10, p, 1)
 
 
 class TestModesAndLambda:
@@ -210,8 +225,7 @@ class TestExactDistribution:
     def test_bitwise_equal_to_slice_reference(self, name, n, monkeypatch):
         monkeypatch.setattr(simulate, "EXACT_N_MAX", 240)
         p = REFERENCE_PARAMS[name]
-        assert np.array_equal(exact_final_distribution(n, p).probs,
-                              exact_probs_by_slices(n, p))
+        assert np.array_equal(exact_final_distribution(n, p), exact_probs_by_slices(n, p))
 
     # Richardson's 2 f(2n) - f(n) removes the 1/N term of N * p_minor; what
     # is left, the 1/N^2 term and the major outbreak's tail past the
@@ -237,7 +251,7 @@ class TestExactDistribution:
         x_inf = solve_x_infinity(p).x_inf
 
         def n_p_minor(m):
-            probs = exact_final_distribution(m, p).probs
+            probs = exact_final_distribution(m, p)
             return m * probs[np.arange(m + 1) > 0.5 * m * (1.0 + x_inf)].sum()
 
         extrapolated = 2.0 * n_p_minor(2 * n) - n_p_minor(n)
@@ -245,13 +259,13 @@ class TestExactDistribution:
 
     def test_n1_dk_hand_enumeration(self):
         d = exact_final_distribution(1, preset_params("dk"))
-        assert dict(d.support()) == {(0, 0): 1.0}
+        assert dict(support(d)) == {(0, 0): 1.0}
 
     def test_n2_mt_hand_enumeration(self):
         # (2,1) -> (1,2); then p0 = 1/2 -> (0,3) -> all stifle (X=0),
         # p3 = 1/2 -> (1,1); then p0 = 1/2 -> (0,2) (X=0), p3 = 1/2 -> X=1
         d = exact_final_distribution(2, preset_params("mt"))
-        sup = dict(d.support())
+        sup = dict(support(d))
         assert set(sup) == {(0, 0), (1, 0)}
         assert math.isclose(sup[(0, 0)], 0.75, abs_tol=1e-15)
         assert math.isclose(sup[(1, 0)], 0.25, abs_tol=1e-15)
@@ -259,13 +273,13 @@ class TestExactDistribution:
     def test_n2_dk_hand_enumeration(self):
         # (2,1) -> (1,2); p0 = 2/3 -> (0,3) -> X=0; p2 = 1/3 -> absorbed X=1
         d = exact_final_distribution(2, preset_params("dk"))
-        sup = dict(d.support())
+        sup = dict(support(d))
         assert math.isclose(sup[(0, 0)], 2.0 / 3.0, abs_tol=1e-15)
         assert math.isclose(sup[(1, 0)], 1.0 / 3.0, abs_tol=1e-15)
 
     def test_first_jump_always_informs(self):
         d = exact_final_distribution(2, preset_params("mt"))
-        assert (2, 0) not in dict(d.support())
+        assert (2, 0) not in dict(support(d))
 
     def test_mass_sums_to_one(self):
         rng = rng_for("oracle-mass")
@@ -273,7 +287,7 @@ class TestExactDistribution:
             p = random_params(rng)
             n = int(rng.integers(1, 25))
             d = exact_final_distribution(n, p)
-            assert abs(d.total_mass() - 1.0) <= 1e-12
+            assert abs(d.sum() - 1.0) <= 1e-12
 
     def test_zero_rate_state_keeps_its_mass(self):
         # theta1 = theta2 = 0 with gamma within THETA_SNAP of 0: no move
@@ -281,15 +295,15 @@ class TestExactDistribution:
         # that reach it (delta^N) never absorbs
         p = ModelParams(lam=1.0, gamma=1e-13, theta1=0.0, theta2=0.0, delta=0.7)
         d = exact_final_distribution(4, p)
-        assert not np.isnan(d.probs).any()
-        assert math.isclose(d.total_mass(), 1.0 - 0.7**4, rel_tol=1e-12)
+        assert not np.isnan(d).any()
+        assert math.isclose(d.sum(), 1.0 - 0.7**4, rel_tol=1e-12)
 
     def test_bitwise_lambda_invariance(self):
         base = preset_params("apq_dk", alpha=0.6, p=0.7, q=0.8)
         ref = exact_final_distribution(12, base)
         for lam in (0.5, 7.0):
             other = exact_final_distribution(12, with_lambda(base, lam))
-            assert np.array_equal(ref.probs, other.probs)
+            assert np.array_equal(ref, other)
 
     def test_too_large(self):
         with pytest.raises(TooLarge):
@@ -299,16 +313,16 @@ class TestExactDistribution:
         # exact mean at N = 40 versus the N -> infinity limit; the gap is
         # the finite-size bias, printed for the record
         p = preset_params("rho", rho=0.0)
-        d = exact_final_distribution(40, p)
+        mean_x = exact_final_distribution(40, p).sum(axis=1) @ np.arange(41) / 40
         lim = solve_x_infinity(p)
-        print(f"N=40 exact mean X/N = {d.mean_x():.6f}  vs  x_inf = {lim.x_inf:.6f} "
-              f"(bias {d.mean_x() - lim.x_inf:+.2e})")
+        print(f"N=40 exact mean X/N = {mean_x:.6f}  vs  x_inf = {lim.x_inf:.6f} "
+              f"(bias {mean_x - lim.x_inf:+.2e})")
 
     def test_uninterested_marginal_when_delta_below_one(self):
         q = 0.5
         d = exact_final_distribution(8, preset_params("apq_dk", alpha=1, p=1, q=q))
-        assert any(u > 0 for (_, u), _ in d.support())
-        assert abs(d.total_mass() - 1.0) <= 1e-12
+        assert any(u > 0 for (_, u), _ in support(d))
+        assert abs(d.sum() - 1.0) <= 1e-12
 
 
 class TestGoodnessOfFit:
@@ -325,7 +339,7 @@ class TestGoodnessOfFit:
         reps = 1_000_000
         d = exact_final_distribution(3, p)
         counts = final_state_counts(3, reps, p, master_seed=17)
-        for key, prob in d.support():
+        for key, prob in support(d):
             freq = counts.get(key, 0) / reps
             band = 4.0 * math.sqrt(prob * (1.0 - prob) / reps)
             assert abs(freq - prob) <= band, (key, freq, prob)
