@@ -222,7 +222,6 @@ def cmd_fluid(ns, settings, params, header) -> tuple[int, str]:
 
 def cmd_simulate(ns, settings, params, header) -> tuple[int, str]:
     n, reps, seed, mode = settings
-    sim_mod._check_absorbs(n, params)  # iter_final_states checks after --dump is opened
     # --output is open by now; the summary would overwrite a dump written
     # to the same regular file (a device such as /dev/null takes both)
     if ns.dump and ns.output and os.path.exists(ns.dump):

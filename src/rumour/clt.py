@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rumour.errors import IntegrationFailure
+from rumour.errors import DomainError, IntegrationFailure
 from rumour.limits import LimitResult, _q, _target
 from rumour.model import ModelParams
 
@@ -142,8 +142,12 @@ def fluid_trajectory(t_grid, p: ModelParams) -> list[dict]:
 
 def t_infinity(p: ModelParams, lim: LimitResult) -> float:
     """Fluid absorption time -log(x_inf)/lambda, where y first hits 0, on
-    the clock tau of fluid_trajectory (d tau = Y dt), not the chain's."""
-    return -math.log(lim.x_inf) / p.lam
+    the clock tau of fluid_trajectory (d tau = Y dt), not the chain's;
+    DomainError where it overflows, at lambda below about 1e-308."""
+    t = -math.log(lim.x_inf) / p.lam
+    if not math.isfinite(t):
+        raise DomainError(f"t_inf = -log(x_inf)/lambda overflows at lambda = {p.lam!r}")
+    return t
 
 
 # Integrator tolerances of the Lyapunov-ODE oracle.

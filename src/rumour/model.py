@@ -17,8 +17,8 @@ turns both into stiflers (theta1 channel) or just one (theta2 channel); a
 spreader meeting anyone else already informed stifles at rate gamma.  Z is
 implicit throughout: Z + U = N + 1 - X - Y.  The chain absorbs at Y = 0.
 
-The derived combination theta = theta1 + theta2 - gamma controls the
-shape of the asymptotics and must lie in [0, 1].
+theta = theta1 + theta2 - gamma controls the shape of the asymptotics
+and must lie in [0, 1]; theta1 + theta2 > 0 makes the chain absorb.
 """
 
 from __future__ import annotations
@@ -55,6 +55,8 @@ class ModelParams:
 
     theta = theta1 + theta2 - gamma is derived, never stored, and must lie
     in [0, 1] (up to a THETA_SNAP float-rounding allowance at the ends).
+    theta1 + theta2 > 0 too (that allowance admits 0 at gamma <= THETA_SNAP),
+    so that some move leaves every state with Y >= 1 and the chain absorbs.
     """
 
     lam: float
@@ -76,6 +78,8 @@ class ModelParams:
         raw = self.theta1 + self.theta2 - self.gamma
         _check(-THETA_SNAP <= raw <= 1 + THETA_SNAP, "0 <= theta <= 1",
                "theta = theta1 + theta2 - gamma", raw)
+        _check(self.theta1 + self.theta2 > 0, "theta1 + theta2 > 0", "theta1 + theta2",
+               self.theta1 + self.theta2)
 
     @property
     def theta(self) -> float:

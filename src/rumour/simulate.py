@@ -55,7 +55,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from rumour.clt import CovMatrix2
-from rumour.errors import DomainError, TooLarge
+from rumour.errors import TooLarge
 from rumour.limits import LimitResult
 from rumour.model import ModelParams, rate_weights, rate_weights_fn
 
@@ -368,14 +368,6 @@ def _philox_rows(master_seed, chunk_index, stream, rows, m, buf):
     return read
 
 
-def _check_absorbs(n: int, params: ModelParams) -> None:
-    """Raise DomainError at theta1 = theta2 = 0, admissible for gamma within
-    THETA_SNAP of 0 alone: no move leaves X = 0, Y = N + 1, where the chain
-    then stops short of absorption with probability delta^N."""
-    if params.theta1 == 0.0 and params.theta2 == 0.0:
-        raise DomainError(f"theta1 = theta2 = 0: no move leaves X = 0, Y = N + 1 = {n + 1}")
-
-
 def iter_final_states(
     n: int,
     reps: int,
@@ -386,15 +378,13 @@ def iter_final_states(
 ) -> Iterator[ReplicationBlock]:
     """Stream replication results in chunk order, running each chunk on the
     calling thread when its block is requested, so one chunk is in flight
-    at a time, and raises DomainError before the first (_check_absorbs).
-    workers is accepted and ignored; it goes once no caller passes it."""
+    at a time.  workers is accepted and ignored; it goes once no caller passes it."""
     if n < 1:
         raise ValueError(f"population parameter must be >= 1, got {n}")
     if reps < 0:
         raise ValueError(f"reps must be >= 0, got {reps}")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    _check_absorbs(n, params)
     size, m = _chunk_size(n), 2 * n + 1
     shape = (min(reps, size), min(m, _BLOCK))
     sel_buf = np.empty(shape)
@@ -522,8 +512,8 @@ def exact_final_distribution(n: int, params: ModelParams) -> np.ndarray:
     from the initial state (n, 1) at L = 2n + 1 down to L = 0.  Each state
     sums its incoming shares as ((w1 + w0) + w2) + w3, the order in which
     a serial walk in decreasing (X, then Y) adds them, so the result is
-    bitwise that walk's.  Mass reaching Y = 0 stays there, and so does
-    mass on a state with no possible move.  The computation never touches
+    bitwise that walk's.  Every state with Y >= 1 has a move (theta1 +
+    theta2 > 0), so all mass ends at Y = 0.  The computation never touches
     lambda, so the result is bitwise lambda-invariant.  There are 2n + 1
     steps of O(n^2) work, so time is O(n^3); memory is O(n^2), with three
     levels live.  EXACT_N_MAX guards against accidental huge inputs.
@@ -539,11 +529,9 @@ def exact_final_distribution(n: int, params: ModelParams) -> np.ndarray:
     lv, xv = np.nonzero((lv > 2 * xv) & (lv <= n + 1 + xv))
     ws = rate_weights(xv, lv - 2 * xv, n, params)
     w = ws[0] + ws[1] + ws[2] + ws[3]
-    # w = 0 only where no move is possible (X = 0, Y = N + 1 with
-    # theta1 = theta2 = 0): that mass stays put, as in the chain.
     q = np.zeros((4, 2 * n + 3, n + 2))
     for qk, wk in zip(q, ws):
-        qk[lv, xv] = np.divide(wk, w, out=np.zeros_like(w), where=w > 0)
+        qk[lv, xv] = wk / w
     q0, q1, q2, q3 = q
     probs = np.zeros((n + 1, n + 2))
     # levels[L % 3][x, u] is the mass of state (x, L - 2x, u); rows off

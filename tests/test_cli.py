@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -31,8 +32,8 @@ def run_csv(capsys, *argv):
     return list(csv.DictReader(io.StringIO(out)))
 
 
-# theta1 = theta2 = 0, admissible for gamma within THETA_SNAP of 0: no move
-# leaves X = 0, Y = N + 1, where the chain stops with probability delta^N
+# theta1 = theta2 = 0: theta = -gamma is within THETA_SNAP of 0 for gamma
+# <= 1e-12, but ModelParams refuses it, since no move leaves X = 0, Y = N + 1
 ZERO_THETA = ("--lambda", "1", "--theta1", "0", "--theta2", "0")
 
 
@@ -114,6 +115,28 @@ class TestClt:
     def test_t_inf_reported(self, capsys):
         obj = run_json(capsys, "clt", "--preset", "rho", "--rho", "0")
         assert abs(obj["t_inf"] - 1.5936242600400399) <= 1e-9
+
+    DK_BUT_LAMBDA = ("--gamma", "1", "--theta1", "1", "--theta2", "0", "--delta", "1")
+
+    def test_overflowing_t_inf_exits_2(self, capsys):
+        # -log(x_inf) / lambda is past the float range: one message, no
+        # output, and no numpy warning on the way (the tests make it an error)
+        for argv in (["clt"], ["clt", "--cross-check"], ["fluid"],
+                     ["fluid", "--t-max", "1", "--points", "2"]):
+            code, out, err = run_cli(capsys, *argv, "--lambda", "1e-310", *self.DK_BUT_LAMBDA)
+            assert (code, out) == (2, ""), argv
+            assert err == ("error: t_inf = -log(x_inf)/lambda overflows at "
+                           "lambda = 1e-310\n"), argv
+
+    def test_t_inf_near_the_float_range(self, capsys):
+        # lambda = 1e-300 leaves t_inf = 1.59e300 finite, and fluid ends there
+        argv = ("--lambda", "1e-300", *self.DK_BUT_LAMBDA)
+        obj = run_json(capsys, "clt", *argv, "--cross-check")
+        assert obj["t_inf"] == -math.log(obj["x_inf"]) / 1e-300
+        assert math.isclose(obj["t_inf"], 1.5936242600400399e300, rel_tol=1e-9)
+        assert obj["cross_check"]["max_abs_deviation"] <= 1e-6
+        pts = run_json(capsys, "fluid", *argv, "--points", "3")
+        assert pts["t_inf"] == obj["t_inf"] == pts["points"][-1]["t"]
 
 
 class TestFluid:
@@ -302,18 +325,11 @@ class TestOracleAndPresets:
                             ("mean_u", lambda r: r["u"] * r["p"] / n)):
             assert math.isclose(obj[key], math.fsum(map(moment, sup)), rel_tol=1e-12), key
 
-    def test_oracle_at_zero_theta(self, capsys):
-        # the oracle keeps the mass that stops at X = 0, Y = N + 1 unabsorbed:
-        # delta^N of it, and all of it at delta = 1, where the support is empty
-        obj = run_json(capsys, "oracle", "--n", "4", *ZERO_THETA, "--gamma", "1e-13",
-                       "--delta", "0.7")
-        assert math.isclose(obj["total_mass"], 1.0 - 0.7**4, rel_tol=1e-12)
-        stuck = ["oracle", "--n", "3", *ZERO_THETA, "--gamma", "1e-13", "--delta", "1"]
-        code, out, _ = run_cli(capsys, *stuck)
-        assert code == 0 and '\n  "support": []\n' in out
-        obj = json.loads(out)
-        assert (obj["total_mass"], obj["mean_x"], obj["mean_u"]) == (0.0, 0.0, 0.0)
-        assert run_cli(capsys, *stuck, "--format", "csv")[:2] == (0, "x,u,p\n")
+    def test_oracle_at_least_positive_theta_sum(self, capsys):
+        # the least theta1 + theta2 > 0 still moves every state with y >= 1
+        obj = run_json(capsys, "oracle", "--n", "4", "--lambda", "1", "--theta1", "5e-324",
+                       "--theta2", "0", "--gamma", "1e-13", "--delta", "0.7")
+        assert abs(obj["total_mass"] - 1.0) <= 1e-12
 
     def test_oracle_too_large_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "oracle", "--preset", "dk", "--n", "100")
@@ -472,28 +488,28 @@ class TestConfigAndOutput:
             assert not (tmp_path / "new.csv").exists()
             assert old.read_bytes() == b"keep me\n"
 
-    def test_zero_theta_simulation_exits_2(self, capsys, tmp_path, monkeypatch):
-        # the chain need not absorb: simulate and verify refuse before any
-        # output is written, create no file and keep an existing one's bytes
+    def test_zero_theta_sum_exits_2(self, capsys, tmp_path, monkeypatch):
+        # ModelParams refuses theta1 = theta2 = 0 before any command runs:
+        # nothing on stdout, no file created and an existing one's bytes kept
         monkeypatch.chdir(tmp_path)
         old = tmp_path / "old.json"
         old.write_bytes(b"keep me\n")
-        # verify solves x_inf first, which underflows at the first two
-        # points (exit 2 with its own message); at the third, it gets past
-        for gamma, delta, n, cmds in (("1e-13", "1", "3", ["simulate"]),
-                                      ("1e-13", "0.7", "4", ["simulate"]),
-                                      ("1e-12", "1e-13", "4", ["simulate", "verify"])):
-            sim = [*ZERO_THETA, "--gamma", gamma, "--delta", delta, "--n", n, "--reps", "20"]
-            argvs = [[cmd, *sim, *extra] for cmd in cmds for extra in (
-                [], ["--mode", "exact-time"], ["--output", "o.json"], ["--output", "old.json"])]
+        for gamma, delta in itertools.product(("1e-13", "1e-12"), ("1", "0.7")):
+            model = [*ZERO_THETA, "--gamma", gamma, "--delta", delta]
+            sim = [*model, "--n", "4", "--reps", "20"]
+            base = [["limit", *model], ["clt", *model], ["clt", *model, "--cross-check"],
+                    ["fluid", *model], ["oracle", *model, "--n", "4"]]
+            base += [[cmd, *sim, *mode] for cmd in ("simulate", "verify")
+                     for mode in ([], ["--mode", "exact-time"])]
+            argvs = [[*argv, *out] for argv in base
+                     for out in ([], ["--output", "o.json"], ["--output", "old.json"])]
             argvs += [["simulate", *sim, "--dump", "d.csv"],
                       ["simulate", *sim, "--output", "o.json", "--dump", "d.csv"],
                       ["simulate", *sim, "--output", "old.json", "--dump", "old.json"]]
             for argv in argvs:
                 code, out, err = run_cli(capsys, *argv)
                 assert (code, out) == (2, ""), argv
-                assert err == (f"error: theta1 = theta2 = 0: no move leaves X = 0, "
-                               f"Y = N + 1 = {int(n) + 1}\n"), argv
+                assert err == "error: theta1 + theta2 > 0 violated (theta1 + theta2 = 0.0)\n", argv
                 assert os.listdir(tmp_path) == ["old.json"], argv
                 assert old.read_bytes() == b"keep me\n"
 

@@ -9,6 +9,9 @@ from conftest import random_params, rng_for
 from oracles import rate_weights_reference
 from rumour.errors import ConstraintViolation
 from rumour.model import PRESETS, ModelParams, preset_params, rate_weights, rate_weights_fn
+from rumour.simulate import exact_final_distribution, iter_final_states
+
+ZERO_SUM = "theta1 + theta2 > 0 violated (theta1 + theta2 = 0.0)"
 
 
 class TestValidation:
@@ -70,6 +73,36 @@ class TestValidation:
                 want = (f"{rules[broken[0]]} = {bad[broken[0]]!r})" if broken else
                         f"0 <= theta <= 1 violated (theta = theta1 + theta2 - gamma = {raw!r})")
                 assert str(err.value) == want, broken
+        # theta1 + theta2 > 0 comes after the theta rule: alone, and with it
+        with pytest.raises(ConstraintViolation) as err:
+            ModelParams(**good | dict(gamma=1e-13, theta1=0.0))
+        assert str(err.value) == ZERO_SUM
+        with pytest.raises(ConstraintViolation) as err:
+            ModelParams(**good | dict(theta1=0.0))
+        assert str(err.value) == (
+            "0 <= theta <= 1 violated (theta = theta1 + theta2 - gamma = -1.0)")
+
+    @pytest.mark.parametrize("delta", [1.0, 0.7])
+    @pytest.mark.parametrize("gamma", [1e-12, 1e-13, 5e-324])
+    def test_zero_theta_sum_refused(self, gamma, delta):
+        # theta = -gamma is inside THETA_SNAP, but no move would leave
+        # X = 0, Y = N + 1, so the chain need not absorb
+        with pytest.raises(ConstraintViolation) as err:
+            ModelParams(lam=1.0, gamma=gamma, theta1=0.0, theta2=0.0, delta=delta)
+        assert str(err.value) == ZERO_SUM
+
+    @pytest.mark.parametrize("theta1, theta2", [(5e-324, 0.0), (0.0, 5e-324)])
+    def test_least_positive_theta_sum_absorbs(self, theta1, theta2):
+        # every state with y >= 1 keeps a move of positive weight: the exact
+        # law has all its mass on y = 0, and every replication ends in its
+        # support within 2n + 1 jumps (each lowers 2x + y)
+        p = ModelParams(lam=1.0, gamma=1e-13, theta1=theta1, theta2=theta2, delta=0.7)
+        probs = exact_final_distribution(4, p)
+        assert abs(probs.sum() - 1.0) <= 1e-12
+        (block,) = iter_final_states(4, 200, p, 1)
+        assert len(block.x) == 200
+        assert (probs[block.x, block.u] > 0).all()
+        assert ((block.jumps >= 1) & (block.jumps <= 9)).all()
 
     def test_theta_recomputed_not_stored(self):
         p = ModelParams(lam=1, gamma=0.7, theta1=0.4, theta2=0.6, delta=0.5)
@@ -194,10 +227,9 @@ PRESET_RANGES = [
     ("pearce", "q1", 0.0, None, None, dict(p=1.0, q2=0.5, r=0.5)),
     ("pearce", "q2", 0.0, None, None, dict(p=1.0, q1=1.0, r=0.5)),
     ("pearce", "r", 0.0, 1.0, "low", dict(p=1.0, q1=0.0, q2=1.0)),
-    # theta = (2 beta - gamma) / alpha; at beta = 0 it is -gamma / alpha,
-    # admissible only inside the snap of 1e-12 to 0
+    # theta = (2 beta - gamma) / alpha; beta = 0 maps to theta1 = theta2 =
+    # 0, which ModelParams refuses (test_kawachi_beta_low_end)
     ("kawachi", "alpha", 0.0, 1.0, "low", dict(beta=TINY / 2, gamma=TINY, theta=0.5)),
-    ("kawachi", "beta", 0.0, None, None, dict(alpha=1.0, gamma=2.0**-50, theta=0.5)),
     ("kawachi", "beta", None, 1.0, None, dict(alpha=1.0, gamma=1.0, theta=0.5)),
     ("kawachi", "gamma", 0.0, 1.0, "low", dict(alpha=1.0, beta=0.5, theta=0.5)),
     ("kawachi", "theta", 0.0, 1.0, "low", dict(alpha=1.0, beta=0.5, gamma=1.0)),
@@ -292,6 +324,27 @@ class TestPresets:
             msg = str(err.value)
             assert msg.startswith((f"{name} in ", f"{name} >= 0 ")), msg
             assert msg.endswith(f"({name} = {bad!r})"), msg
+
+    def test_kawachi_beta_low_end(self):
+        # the least positive beta is taken; 0 reaches ModelParams, whose
+        # last rule refuses it (test_zero_theta_sum_refused_by_model), and
+        # below 0 the preset's own check refuses
+        others = dict(alpha=1.0, gamma=2.0**-50, theta=0.5)
+        preset_params("kawachi", **others, beta=5e-324)
+        for bad in (-5e-324, math.nan):
+            with pytest.raises(ConstraintViolation) as err:
+                preset_params("kawachi", **others, beta=bad)
+            assert str(err.value) == f"beta in [0, 1] violated (beta = {bad!r})"
+
+    @pytest.mark.parametrize("preset, aux", [
+        ("kawachi", dict(alpha=1.0, beta=0.0, gamma=1e-13, theta=0.5)),
+        ("pearce", dict(p=1.0, q1=0.0, q2=0.0, r=1e-13)),
+    ])
+    def test_zero_theta_sum_refused_by_model(self, preset, aux):
+        # theta = -gamma is inside THETA_SNAP; theta1 = theta2 = 0 is not
+        with pytest.raises(ConstraintViolation) as err:
+            preset_params(preset, **aux)
+        assert str(err.value) == ZERO_SUM
 
     @pytest.mark.parametrize("preset, good, bad", [
         ("apq_dk", dict(alpha=0.5, p=0.5, q=0.5), dict(alpha=0.0, p=1.5, q=0.0)),

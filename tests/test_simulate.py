@@ -8,7 +8,7 @@ from conftest import random_params, rng_for
 from oracles import (exact_probs_by_slices, final_state_counts, goodness_of_fit,
                      minor_outbreak_leading, support)
 from rumour.clt import CovMatrix2, clt_constants, sigma_matrix
-from rumour.errors import DomainError, TooLarge
+from rumour.errors import TooLarge
 from rumour.limits import LimitResult, solve_x_infinity
 from rumour import simulate
 from rumour.model import ModelParams, preset_params
@@ -81,21 +81,6 @@ class TestRunOne:
             next(iter_final_states(5, -1, p, 1))
         with pytest.raises(ValueError, match="population"):
             exact_final_distribution(0, p)
-
-    @pytest.mark.parametrize("delta", [1.0, 0.7])
-    def test_zero_theta_refused_before_any_chunk(self, delta, monkeypatch):
-        # theta1 = theta2 = 0: no move leaves X = 0, Y = N + 1, which the
-        # chain reaches with probability delta^N, so a replication need not
-        # absorb; the oracle keeps that mass (test_zero_rate_state_keeps_its_mass)
-        def refuse(*args):
-            raise AssertionError("a chunk was walked")
-
-        monkeypatch.setattr(simulate, "_chunk_kernel", refuse)
-        p = ModelParams(lam=1.0, gamma=1e-13, theta1=0.0, theta2=0.0, delta=delta)
-        with pytest.raises(DomainError, match=r"^theta1 = theta2 = 0: .* Y = N \+ 1 = 5$"):
-            next(iter_final_states(4, 10, p, 1))
-        with pytest.raises(DomainError, match="theta1 = theta2 = 0"):
-            monte_carlo(4, 10, p, 1)
 
 
 class TestModesAndLambda:
@@ -205,14 +190,13 @@ class TestMcStats:
 
 
 def _reference_params() -> dict[str, ModelParams]:
-    """The presets without auxiliary parameters, random points over theta
-    and delta (None draws it), and a state no move leaves."""
+    """The presets without auxiliary parameters and random points over
+    theta and delta (None draws it)."""
     rng = rng_for("oracle-reference")
     cases = {name: preset_params(name) for name in ("dk", "mt", "hayes")}
     for theta in (0.0, 0.5, 1.0, None):
         for delta in (1.0, None):
             cases[f"theta={theta}-delta={delta}"] = random_params(rng, theta=theta, delta=delta)
-    cases["zero-rate"] = ModelParams(lam=1.0, gamma=1e-13, theta1=0.0, theta2=0.0, delta=0.7)
     return cases
 
 
@@ -288,15 +272,6 @@ class TestExactDistribution:
             n = int(rng.integers(1, 25))
             d = exact_final_distribution(n, p)
             assert abs(d.sum() - 1.0) <= 1e-12
-
-    def test_zero_rate_state_keeps_its_mass(self):
-        # theta1 = theta2 = 0 with gamma within THETA_SNAP of 0: no move
-        # leaves X = 0, Y = N + 1, so the mass of the N spreading jumps
-        # that reach it (delta^N) never absorbs
-        p = ModelParams(lam=1.0, gamma=1e-13, theta1=0.0, theta2=0.0, delta=0.7)
-        d = exact_final_distribution(4, p)
-        assert not np.isnan(d).any()
-        assert math.isclose(d.sum(), 1.0 - 0.7**4, rel_tol=1e-12)
 
     def test_bitwise_lambda_invariance(self):
         base = preset_params("apq_dk", alpha=0.6, p=0.7, q=0.8)
