@@ -11,9 +11,9 @@ equation
 
     dL/dtau = dF L + L dF' + G(v(tau)),   L(0) = 0,
 
-on Lambda's six distinct entries along the fluid trajectory up to t_inf,
-where dF is the drift Jacobian and G the local fluctuation covariance;
-it shares no algebra with the closed forms and is the module's oracle.
+on Lambda's six distinct entries on the lambda-free clock s = lambda*tau,
+where dF is the drift Jacobian and G the local fluctuation covariance; it
+shares no algebra with the closed forms and is the module's oracle.
 """
 
 from __future__ import annotations
@@ -142,8 +142,8 @@ def fluid_trajectory(t_grid, p: ModelParams) -> list[dict]:
 
 def t_infinity(p: ModelParams, lim: LimitResult) -> float:
     """Fluid absorption time -log(x_inf)/lambda, where y first hits 0, on
-    the clock tau of fluid_trajectory (d tau = Y dt), not the chain's;
-    DomainError where it overflows, at lambda below about 1e-308."""
+    the clock tau of fluid_trajectory (d tau = Y dt), not the chain's or the
+    ODE's s = lambda*tau; DomainError where it overflows, at lambda < ~1e-308."""
     t = -math.log(lim.x_inf) / p.lam
     if not math.isfinite(t):
         raise DomainError(f"t_inf = -log(x_inf)/lambda overflows at lambda = {p.lam!r}")
@@ -214,32 +214,32 @@ def _dopri5(rhs, y, tf: float, h: float) -> list[float]:
 
 
 def numerical_lambda_via_ode(p: ModelParams, lim: LimitResult) -> np.ndarray:
-    """Integrate the Lyapunov equation for Lambda from 0 to t_inf, on its
-    six distinct entries in Python floats.  With a = l(1-d), b = l(g+d),
-    c = l*th, x = exp(-l*tau), y = f_th(x) (d = delta, g = gamma, th =
-    theta) and dF = [[-l, 0, 0], [a, 0, 0], [b, 0, -c]], dF L + L dF' + G is
+    """Integrate the Lyapunov equation for Lambda on its six distinct entries
+    in Python floats, on s = lambda*tau from 0 to s_inf = -log(x_inf).  With
+    a = 1-d, b = g+d, x = exp(-s), y = f_th(x) (d = delta, g = gamma, th =
+    theta) and dF = [[-1, 0, 0], [a, 0, 0], [b, 0, -th]], dL/ds is
 
-        xx' = l(x - 2 xx),   xu' = a(xx - x) - l xu,   uu' = a(2 xu + x),
-        xy' = b xx - (l + c) xy - l d x,   uy' = a xy + b xu - c uy,
-        yy' = 2(b xy - c yy) + l(d - g) x + l(kappa - th + 2g) y + l g.
+        xx' = x - 2 xx,   xu' = a(xx - x) - xu,   uu' = a(2 xu + x),
+        xy' = b xx - (1 + th) xy - d x,   uy' = a xy + b xu - th uy,
+        yy' = 2(b xy - th yy) + (d - g) x + (kappa - th + 2g) y + g.
 
     Returns the symmetric 3x3 float64 array.  It must match lambda_matrix
     to integrator accuracy: an independent check of the closed-form
     constants (notably C, D and the kappa bookkeeping).
     """
-    g, d, la, th = p.gamma, p.delta, p.lam, p.theta
+    g, d, th = p.gamma, p.delta, p.theta
     kappa = 3.0 * p.theta1 + 2.0 * p.theta2 - 4.0 * g
-    tf = t_infinity(p, lim)
+    sf = -math.log(lim.x_inf)
     f = _target(p)[0]
-    a, b, c = la * (1.0 - d), la * (g + d), la * th
-    gx, gy, gc = la * (d - g), la * (kappa - th + 2.0 * g), la * g
+    a, b = 1.0 - d, g + d
+    gx, gy = d - g, kappa - th + 2.0 * g
 
-    def rhs(t, v):
+    def rhs(s, v):
         xx, xu, xy, uu, uy, yy = v
-        x = math.exp(-la * t)
-        return (la * (x - 2.0 * xx), a * (xx - x) - la * xu,
-                b * xx - (la + c) * xy - la * d * x, a * (2.0 * xu + x),
-                a * xy + b * xu - c * uy, 2.0 * (b * xy - c * yy) + gx * x + gy * f(x) + gc)
+        x = math.exp(-s)
+        return (x - 2.0 * xx, a * (xx - x) - xu,
+                b * xx - (1.0 + th) * xy - d * x, a * (2.0 * xu + x),
+                a * xy + b * xu - th * uy, 2.0 * (b * xy - th * yy) + gx * x + gy * f(x) + g)
 
-    xx, xu, xy, uu, uy, yy = _dopri5(rhs, [0.0] * 6, tf, tf)
+    xx, xu, xy, uu, uy, yy = _dopri5(rhs, [0.0] * 6, sf, sf)
     return np.array([[xx, xu, xy], [xu, uu, uy], [xy, uy, yy]])

@@ -47,7 +47,8 @@ def _check(ok: bool, rule: str, name: str, value: float) -> None:
 class ModelParams:
     """The five admissible rate/probability parameters.
 
-    lam     overall contact rate (> 0); only sets the time scale
+    lam     overall contact rate (> 0); only sets the time scale: only
+            t_infinity, fluid_trajectory and iter_final_states compute with it
     gamma   spreader-stifler rate multiplier (> 0)
     theta1  both-stifle spreader-meeting multiplier (>= 0)
     theta2  one-stifles spreader-meeting multiplier (>= 0)

@@ -5,9 +5,9 @@ chain, with probabilities proportional to the four transition rates.  Two
 modes exist.  Jump-chain mode draws transitions only; exact-time mode
 additionally accumulates exponential holding times.  Holding-time draws
 live in a separate random stream, so both modes visit identical state
-sequences for the same seed.  Selection probabilities are computed from
-lambda-free weights (lambda cancels in every ratio), which makes the
-final-state law bitwise independent of lambda.
+sequences for the same seed.  The kernel reads lambda-free weights and
+times, and iter_final_states divides times by lambda once, so the final
+state's law is bitwise lambda-free and T(lambda) is bitwise T(1) / lambda.
 
 Reproducibility: replications are partitioned into fixed-size chunks
 (size depends only on the population parameter), and chunk c draws its
@@ -122,8 +122,8 @@ def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
     after, read(live, step) returns the (selection, holding) pair of
     blocks for the rows live (increasing), one block row per live row,
     from column step on; holding is None in jump-chain mode.  Returns
-    per-row final x, final u, jumps and absorption times (None in
-    jump-chain mode).
+    per-row final x, final u, jumps and lambda-free absorption times
+    lambda*T (None in jump-chain mode).
 
     Each step's cost is mostly numpy's fixed cost per call, so the step
     is written for few calls: the model's coefficients are 0-d arrays and
@@ -173,7 +173,6 @@ def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
     y = np.ones(rows)
     t = np.zeros(rows)
     weights = rate_weights_fn(n, params)
-    neg_lam = np.array(-params.lam)
 
     def moves(xs, ys, u):
         # The move codes k of the states xs, ys with the uniforms u, their
@@ -202,11 +201,11 @@ def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
         return k, wsum, a, b
 
     def holding(h, wsum):
-        # The holding times log1p(-h) / (-lambda wsum) of the jumps with
-        # uniforms h.  math.log1p, not np.log1p: numpy's SIMD log1p rounds
-        # differently in about 7 % of draws.
+        # Minus the lambda-free holding times, log1p(-h) / wsum, of the
+        # jumps with uniforms h.  math.log1p, not np.log1p: numpy's SIMD
+        # log1p rounds differently in about 7 % of draws.
         logs = np.fromiter(map(math.log1p, np.negative(h).tolist()), float, h.size)
-        return np.divide(logs, np.multiply(neg_lam, wsum), out=logs)
+        return np.divide(logs, wsum, out=logs)
 
     def window(sel, hold, col, pos, width):
         """Advance each live row width jumps, or to its absorption, from
@@ -272,13 +271,13 @@ def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
             recruits = settled[:, :-1] == 3
             rec[:] += np.logical_and(recruits, valid, out=recruits).sum(axis=1)  # k = 3: w0
         if hold is not None:
-            # the holding times of the jumps walked, added in jump order
-            # after the time so far
+            # the holding times of the jumps walked, subtracted (holding
+            # returns minus them) in jump order from the time so far
             cols = slice(col, col + width)
             ts = np.zeros((size, width + 1))
             ts[:, 0] = t
             ts[:, 1:][valid] = holding(_column(hold, cols, pos)[valid], wsums[:, :-1][valid])
-            t[:] = np.add.accumulate(ts, axis=1, out=ts)[:, -1]
+            t[:] = np.subtract.accumulate(ts, axis=1, out=ts)[:, -1]
         return taken
 
     step = 0
@@ -295,7 +294,7 @@ def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
         else:
             k, wsum, a, b = moves(x, y, _column(sel, col, pos))
             if hold is not None:
-                t += holding(_column(hold, col, pos), wsum)
+                t -= holding(_column(hold, col, pos), wsum)
             step += 1
             jumps = step
             x -= b
@@ -396,7 +395,7 @@ def iter_final_states(
         x, u, jumps, times = _chunk_kernel(n, params, rows, lambda live, step: (
             sel(live, step), hold(live, step) if hold else None))
         yield ReplicationBlock(start=start, x=x, u=u, z=n + 1 - x - u, jumps=jumps,
-                               absorption_time=times)
+                               absorption_time=None if times is None else times / params.lam)
 
 
 @dataclass

@@ -59,8 +59,8 @@ MUTANTS = {
         "src/rumour/clt.py", "/ len(est))", "/ (len(est) - 1))"),
     "Lyapunov ODE: uu row without its factor 2": (
         "src/rumour/clt.py", "a * (2.0 * xu + x)", "a * (xu + x)"),
-    "Lyapunov ODE: xy row decays at c, not lambda + c": (
-        "src/rumour/clt.py", "(la + c) * xy", "c * xy"),
+    "Lyapunov ODE: xy row decays at theta, not 1 + theta": (
+        "src/rumour/clt.py", "(1.0 + th) * xy", "th * xy"),
     "B: gamma + theta": (
         "src/rumour/clt.py", "/ (g + d * th)", "/ (g + th)"),
     "delta = 1 w1 fill at a subnormal": (
@@ -114,8 +114,12 @@ MUTANTS = {
         "src/rumour/cli.py", "t_max <= t_inf:", "t_max <= 2 * t_inf:"),
     "exact oracle: w1 pull from the wrong u": (
         "src/rumour/simulate.py", "two[t, :-1]", "two[t, 1:]"),
-    "holding time: sign of lambda": (
-        "src/rumour/simulate.py", "np.array(-params.lam)", "np.array(params.lam)"),
+    "step: holding time added, not subtracted": (
+        "src/rumour/simulate.py", "t -= holding(", "t += holding("),
+    "exact-time: lambda applied twice": (
+        "src/rumour/simulate.py", "/ params.lam", "/ params.lam / params.lam"),
+    "ODE clock scaled by lambda": (
+        "src/rumour/clt.py", "math.exp(-s)", "math.exp(-p.lam * s)"),
     "step: x falls on w0 alone": (
         "src/rumour/simulate.py", "x -= b", "x -= a"),
     "moves: w2 threshold inclusive": (

@@ -213,6 +213,17 @@ class TestSimulate:
                        "--reps", "100", "--seed", "9", "--mode", "exact-time")
         assert obj["mean_absorption_time"] > 0.0
 
+    def test_exact_time_at_the_top_of_the_float_range(self, capsys):
+        # lambda = 1e308 divides the lambda-free times once: no overflow of
+        # lambda times a total weight, and no time printed as 0
+        argv = ("simulate", "--gamma", "1", "--theta1", "1", "--theta2", "0", "--delta", "1",
+                "--n", "5", "--reps", "2", "--mode", "exact-time")
+        run = fresh_python("-m", "rumour.cli", *argv, "--lambda", "1e308")
+        assert (run.returncode, run.stderr) == (0, "")
+        mean = json.loads(run.stdout)["mean_absorption_time"]
+        at_one = run_json(capsys, *argv, "--lambda", "1")["mean_absorption_time"]
+        assert mean > 0.0 and math.isclose(mean, at_one / 1e308, rel_tol=1e-12)
+
     def test_missing_n_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--preset", "dk")
         assert code == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -399,6 +400,11 @@ _rng = rng_for("ode-accuracy")
 RANDOM_ODE_POINTS = [pytest.param(random_params(_rng), id=f"random{i}") for i in range(24)]
 
 
+ACCURACY_POINTS = ODE_POINTS + [
+    pytest.param(preset_params("apq_dk", alpha=0.8, p=0.7, q=0.6), id="apq-dk-.8-.7-.6"),
+] + RANDOM_ODE_POINTS
+
+
 class TestOdeCrossCheck:
     @pytest.mark.parametrize("p", ODE_POINTS)
     def test_matches_closed_form(self, p):
@@ -407,9 +413,7 @@ class TestOdeCrossCheck:
         dev = np.abs(lambda_matrix(p, lim, c) - numerical_lambda_via_ode(p, lim)).max()
         assert dev <= 1e-6
 
-    @pytest.mark.parametrize("p", ODE_POINTS + [
-        pytest.param(preset_params("apq_dk", alpha=0.8, p=0.7, q=0.6), id="apq-dk-.8-.7-.6"),
-    ] + RANDOM_ODE_POINTS)
+    @pytest.mark.parametrize("p", ACCURACY_POINTS)
     def test_matches_closed_form_to_integrator_accuracy(self, p):
         # At ODE_RTOL/ODE_ATOL the stepper reaches at most 5.6e-11 here; a
         # wrong tableau entry (a65 = -5103/18657) still reaches 2.2e-8 on the
@@ -422,6 +426,15 @@ class TestOdeCrossCheck:
         assert type(ode) is np.ndarray and ode.dtype == np.float64 and ode.shape == (3, 3)
         assert np.array_equal(ode, ode.T)
         assert np.abs(closed - ode).max() <= 1e-9
+
+    @pytest.mark.parametrize("p", ACCURACY_POINTS)
+    def test_lambda_free_to_the_last_bit(self, p):
+        # the ODE runs on the lambda-free clock s = lambda*tau and reads no lambda
+        lim = solve_x_infinity(p)
+        ref = numerical_lambda_via_ode(dataclasses.replace(p, lam=1.0), lim)
+        for lam in (0.3, 7.0):
+            assert np.array_equal(numerical_lambda_via_ode(dataclasses.replace(p, lam=lam), lim),
+                                  ref), lam
 
     def test_zero_cross_entries_at_t_inf(self):
         p = preset_params("apq_dk", alpha=0.8, p=0.7, q=0.6)

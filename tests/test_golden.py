@@ -117,16 +117,16 @@ GOLDEN = {
         'ebc006ce8b861063c4a185fb690d1710ad550899387ace0b7facc2c63cbba1e0',
     ]),
     'clt-cross-apq_dk': (0, [
-        '7576073c100c1e3c2f6e83f9e61179ae753966a7132d1ae463e60524d499df43',
+        '2869dfcd6613936be1e2a0fa9b5659c07a48ed6d2d55d67dca738d1dcf8802f7',
     ]),
     'clt-cross-apq_mt': (0, [
-        '599d1ac6e2976fb8f7a1add735e074cd91ef3836eb6a13f08deee03036076142',
+        '3a3ddcd2e941702ef25ba841121edbc80d7867a15a172d5652c79da92d9c2869',
     ]),
     'clt-cross-dk': (0, [
         '4659ff7e2a866e2fd5ba5fed785afdfa7d7545300683e056f0c0e0955d24bc8a',
     ]),
     'clt-cross-explicit': (0, [
-        '07089f7a3c2f51098d9318f332ae1ec1b424382bbd98b885491a49f912738464',
+        '6a0e5fed7526a073ea358dc50a644e83e5b15bb9dec360689fc5a1372fa2b9a6',
     ]),
     'clt-cross-hayes': (0, [
         '1c76f9a892e313068305bd857df3efeeb67704aa038083da45c0ccb728154c4d',
@@ -334,14 +334,14 @@ GOLDEN = {
     ]),
     'simulate-exact-time': (0, [
         'f4b60cc5aa19676c52a2f5bf55698ba326dfa4ffa21c5ff7f70a423bc34e9c17',
-        '46d2c166d0d8d01092efa5dbca9a11b213c5b34d95f10101d16b0c32a42c6c05',
+        'e2021bcd6209ba35162beed74f5b641fe836d895e03c58577cc03aef2ea8ded0',
     ]),
     'simulate-few-rows-dk': (0, [
         'b8b66a01d0d887f16ca7b4adc827cf47d46ae8ea4859c8ebeaadcc90213f0167',
     ]),
     'simulate-few-rows-exact-time': (0, [
-        '1e2298c1e6118d59c4b41bbf6228fcfedbf5f1a824992f81c1d016e36dbcd7d3',
-        '6285b8c63ed9fdd417fb1ab37d76b9224335e3db2dda84e68bc080e0521dad11',
+        '495eb9877326a4b986f0a127d829d569303f1fde937e6bfc4ccc5c99153ce5ad',
+        '35727589c5cfa8414e796ded0ff2e92e7215b777e81528b587470c581fd5c97e',
     ]),
     'simulate-jump-chain': (0, [
         '51a7acc04bb4eb2f550c26b08942e385cb0bc4547d353a16563b54d2ce09f696',

@@ -114,14 +114,15 @@ def walk(n, p, rng, chain_law=False):
     return u_sel, u_hold, wsums, x, u
 
 
-def holding_time(p, hold, wsum):
-    return -math.log1p(-hold) / (p.lam * wsum)
+def holding_time(hold, wsum):
+    # on the kernel's lambda-free clock: lambda times the chain's time
+    return -math.log1p(-hold) / wsum
 
 
-def path_time(p, u_hold, wsums):
+def path_time(u_hold, wsums):
     t = 0.0
     for hold, wsum in zip(u_hold, wsums):
-        t += holding_time(p, hold, wsum)
+        t += holding_time(hold, wsum)
     return t
 
 
@@ -186,7 +187,7 @@ def test_kernel_follows_rate_weights(want_time):
             u_sel, u_hold, wsums, x, u = walk(n, p, rng)
             xs, us, js, ts = run_kernel(n, p, [u_sel], [u_hold], want_time)
             assert (xs[0], us[0], js[0]) == (x, u, len(u_sel)), (name, n)
-            assert ts == ([path_time(p, u_hold, wsums)] if want_time else None), (name, n)
+            assert ts == ([path_time(u_hold, wsums)] if want_time else None), (name, n)
 
 
 @pytest.mark.parametrize("want_time", [False, True], ids=["jump-chain", "exact-time"])
@@ -202,7 +203,7 @@ def test_kernel_rows_of_different_lengths(want_time):
         assert (ts is not None) == want_time
         for r, (u_sel, u_hold, wsums, x, u) in enumerate(paths):
             assert (xs[r], us[r], js[r]) == (x, u, len(u_sel)), (name, r)
-            assert not want_time or ts[r] == path_time(p, u_hold, wsums), (name, r)
+            assert not want_time or ts[r] == path_time(u_hold, wsums), (name, r)
 
 
 def test_kernel_total_weight_per_step():
@@ -218,7 +219,7 @@ def test_kernel_total_weight_per_step():
                 holds[k][k] = u_hold[k]
             xs, us, js, ts = run_kernel(n, p, [u_sel] * steps, holds, True)
             assert xs == [x] * steps and us == [u] * steps and js == [steps] * steps
-            want = [holding_time(p, h, w) for h, w in zip(u_hold, wsums)]
+            want = [holding_time(h, w) for h, w in zip(u_hold, wsums)]
             bad = [k for k in range(steps) if ts[k] != want[k]]
             assert not bad, (name, n, bad[:5])
 
@@ -292,7 +293,7 @@ def test_kernel_thresholds_to_the_last_bit(want_time):
         assert on_edge >= 0.5 * len(u_sel), (name, on_edge, len(u_sel))
         xs, us, js, ts = run_kernel(n, p, [u_sel], [u_hold], want_time)
         assert (xs[0], us[0], js[0]) == (x, u, len(u_sel)), name
-        assert ts == ([path_time(p, u_hold, wsums)] if want_time else None), name
+        assert ts == ([path_time(u_hold, wsums)] if want_time else None), name
 
 
 @pytest.mark.parametrize("block", BLOCKS)

@@ -119,6 +119,26 @@ class TestModesAndLambda:
               iter_final_states(100, 300, with_lambda(p, 7.0), 5, mode="exact-time")]
         assert math.isclose(sum(t1) / sum(t7), 7.0, rel_tol=1e-9)
 
+    @pytest.mark.parametrize("p", [
+        preset_params("dk"),
+        ModelParams(lam=1.0, gamma=0.7, theta1=0.9, theta2=0.3, delta=0.6),
+    ], ids=["dk", "delta=0.6"])
+    @pytest.mark.parametrize("n, reps", [(50, 200), (1500, 20)], ids=["steps", "windows"])
+    def test_absorption_time_is_lambda_one_time_over_lambda(self, p, n, reps):
+        # The kernel sums lambda-free holding times and iter_final_states
+        # divides them by lambda once, so T(lambda) is T(1) / lambda to the
+        # last bit, also at 1e308, where lambda times a total weight overflows
+        assert (simulate._window_width(n, reps) > 1) == (n >= 1000)
+        ref = list(iter_final_states(n, reps, p, 3, mode="exact-time"))
+        for lam in (0.5, 0.7, 7.0, 1e308):
+            other = list(iter_final_states(n, reps, with_lambda(p, lam), 3, mode="exact-time"))
+            assert len(other) == len(ref)
+            for ba, bb in zip(ref, other):
+                assert np.array_equal(bb.absorption_time, ba.absorption_time / lam), lam
+                assert np.array_equal(ba.x, bb.x)
+                assert np.array_equal(ba.u, bb.u)
+                assert np.array_equal(ba.jumps, bb.jumps)
+
 
 class TestMcStats:
     def test_one_chunk_in_flight(self, monkeypatch):
