@@ -19,8 +19,11 @@ jump decrements X or Y, so no replication needs more.  The matrix is
 never drawn whole: Philox is counter-based, so the kernel reads column
 blocks of at most _BLOCK uniforms for its live rows, each from its offset
 in the stream, into one buffer per stream that is allocated once per run
-and reused by every block of every chunk.  Memory per stream stays at
-rows x min(m, _BLOCK) doubles whatever N is.  Chunks run in order on the
+and reused by every block of every chunk.  Row r of every block is row r
+of the chunk, so the kernel indexes the blocks by its live rows
+themselves, and the rows no longer live keep stale uniforms that it
+never reads.  Memory per stream stays at rows x min(m, _BLOCK) doubles
+whatever N is.  Chunks run in order on the
 calling thread, one at a time, and accumulated statistics are exact
 integers, so no floating-point reduction order can leak in.
 
@@ -93,12 +96,6 @@ _MOVES = np.array([(0.0, -1.0), (0.0, -2.0), (-1.0, 0.0), (-1.0, 1.0)])
 _PACK = float(1 << 20)
 
 
-def _column(block, cols, pos):
-    """Columns cols (an index or a slice) of block at the rows pos, or a
-    view of all its rows if pos is None."""
-    return block[:, cols] if pos is None else block[:, cols].take(pos, axis=0, mode="clip")
-
-
 def _window_width(n: int, live: int) -> int:
     """Jumps per window of the lockstep kernel with live rows at population
     n; 1 is the single step.  A window's rounds cost about as much per jump
@@ -110,7 +107,9 @@ def _window_width(n: int, live: int) -> int:
     from n = 5000 on, and lose at 256 rows for n <= 1000 and at 384 rows
     and more.  Below _WINDOW_N they gain little (1.2x at 128 rows and
     n = 200, against 1.6x at n = 2000) for the memory their arrays add to
-    the tail of every chunk."""
+    the tail of every chunk: end to end, windows from n = 200 on cost
+    the simulate-small-n benchmark 2.8 % of its replications per second
+    (lower in 9 of 10 pairs) and 1.1 MiB of peak memory (CHANGES.md)."""
     if n < _WINDOW_N or live > max(_WINDOW_ROWS, n // _WINDOW_SPAN):
         return 1
     return _WINDOW_CELLS // live
@@ -120,8 +119,13 @@ def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
     """Walk rows replications to absorption in lockstep; row r's j-th jump
     reads column j of its uniforms.  At step 0 and every _BLOCK steps
     after, read(live, step) returns the (selection, holding) pair of
-    blocks for the rows live (increasing), one block row per live row,
-    from column step on; holding is None in jump-chain mode.  Returns
+    blocks of rows rows, from column step on, whose row r holds row r's
+    uniforms for every r in live (increasing); the other rows may hold
+    anything, and are never read.  holding is None in jump-chain mode.
+    Every gather from the blocks indexes a view of their columns by live
+    rows, as block[:, cols][live]: block[:, cols].take(live, axis=0)
+    would first copy the whole strided slab of all rows, and
+    block[live, cols] gathers a single column half as fast.  Returns
     per-row final x, final u, jumps and lambda-free absorption times
     lambda*T (None in jump-chain mode).
 
@@ -129,8 +133,7 @@ def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
     is written for few calls: the model's coefficients are 0-d arrays and
     those of exactly 1 or a theta2 of 0 are folded out, the thresholds are
     summed in place, the move is one int8 code k, whose dy the step reads
-    from _MOVES, and a column of uniforms is a view until a row of its
-    block absorbs.  With delta = 1 the step drops the w1 threshold, the
+    from _MOVES.  With delta = 1 the step drops the w1 threshold, the
     flag b and the w0 count, and w1 is one fill, about 21 calls in all for
     dk against about 33 in general.  moves computes the codes and total
     weights for the step and the window alike.
@@ -207,7 +210,7 @@ def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
         logs = np.fromiter(map(math.log1p, np.negative(h).tolist()), float, h.size)
         return np.divide(logs, wsum, out=logs)
 
-    def window(sel, hold, col, pos, width):
+    def window(sel, hold, col, width):
         """Advance each live row width jumps, or to its absorption, from
         column col of the blocks; return each row's jumps taken."""
         size = live.size
@@ -224,11 +227,11 @@ def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
             return np.cumsum(packed, axis=1, out=packed)
 
         # The guess: every move from the row's state at the window's start.
-        k = moves(x[:, None], y[:, None], _column(sel, cols, pos))[0]
+        k = moves(x[:, None], y[:, None], sel[:, cols][live])[0]
         # The rows still walked, their places among the window's rows and
-        # in the blocks, and their states at its start; each row's state
+        # in the chunk, and their states at its start; each row's state
         # after its last jump, and its moves and weights, once settled.
-        act, at, x0, y0 = np.arange(size), pos, x, y
+        act, at, x0, y0 = np.arange(size), live, x, y
         taken, ends = np.empty(size, np.int64), np.empty((2, size))
         settled, wsums = np.empty((size, width + 1), np.int8), np.empty((size, width + 1))
         # Each round settles at least one more jump of every row it walks.
@@ -240,7 +243,7 @@ def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
             ys -= xs * _PACK
             ys += y0[:, None]
             xs += x0[:, None]
-            new, wsum = moves(xs, ys, _column(sel, cols, at))[:2]
+            new, wsum = moves(xs, ys, sel[:, cols][at])[:2]
             # A row is settled when no move changed up to its absorption,
             # or the window's end: its walked states are then the chain's.
             # After its absorption they are junk.  last is the jump after
@@ -262,7 +265,7 @@ def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
             if not moved.any():
                 break
             act, x0, y0, k = act[moved], x0[moved], y0[moved], new[moved]
-            at = act if pos is None else pos[act]
+            at = live[act]
         else:
             raise AssertionError("a window of the lockstep kernel did not settle")
         x[:], y[:] = ends
@@ -276,7 +279,7 @@ def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
             cols = slice(col, col + width)
             ts = np.zeros((size, width + 1))
             ts[:, 0] = t
-            ts[:, 1:][valid] = holding(_column(hold, cols, pos)[valid], wsums[:, :-1][valid])
+            ts[:, 1:][valid] = holding(hold[:, cols][live][valid], wsums[:, :-1][valid])
             t[:] = np.subtract.accumulate(ts, axis=1, out=ts)[:, -1]
         return taken
 
@@ -286,15 +289,14 @@ def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
         col = step % _BLOCK
         if not col:
             sel, hold = read(live, step)
-            pos = None  # the live rows are the blocks' rows until one absorbs
         width = min(_window_width(n, live.size), sel.shape[1] - col - 1)
         if width > 1:
-            jumps = step + window(sel, hold, col, pos, width)
+            jumps = step + window(sel, hold, col, width)
             step += width
         else:
-            k, wsum, a, b = moves(x, y, _column(sel, col, pos))
+            k, wsum, a, b = moves(x, y, sel[:, col][live])
             if hold is not None:
-                t -= holding(_column(hold, col, pos), wsum)
+                t -= holding(hold[:, col][live], wsum)
             step += 1
             jumps = step
             x -= b
@@ -309,10 +311,7 @@ def _chunk_kernel(n: int, params: ModelParams, rows: int, read):
             out_j[gone] = jumps[done] if width > 1 else jumps
             out_t[gone] = t[done]
             keep = ~done
-            if pos is None:
-                pos = np.arange(live.size)  # each live row's row in the blocks
-            live, pos, x, rec, y, t = (
-                live[keep], pos[keep], x[keep], rec[keep], y[keep], t[keep])
+            live, x, rec, y, t = live[keep], x[keep], rec[keep], y[keep], t[keep]
     return out_x, out_u, out_j, out_t if hold is not None else None
 
 
@@ -333,13 +332,16 @@ def _chunk_size(n: int) -> int:
 
 
 def _philox_rows(master_seed, chunk_index, stream, rows, m, buf):
-    """read(live, step) returns columns step ... step + k - 1, where
-    k = min(_BLOCK, m - step), of the rows live (increasing) of the
-    chunk's rows x m matrix of uniforms
+    """read(live, step) returns a rows x k block, where
+    k = min(_BLOCK, m - step), whose row r is columns step ... step + k - 1
+    of row r of the chunk's rows x m matrix of uniforms
     Generator(Philox(SeedSequence((master_seed, chunk_index, stream))))
-    .random((rows, m)), without drawing the rest of the matrix.  Each
-    block is written into the top left of buf, at least rows x
-    min(_BLOCK, m), and is a view of it valid until the next read."""
+    .random((rows, m)) for every r in live (increasing), without drawing
+    the rest of the matrix.  The other rows keep whatever they held, but
+    when m <= _BLOCK the one read, at step 0, draws every row in one
+    call.  Each block is the top left of buf, which has at least rows
+    rows and exactly min(_BLOCK, m) columns, and is a view of it valid
+    until the next read."""
     seq = np.random.SeedSequence(entropy=(master_seed, chunk_index, stream))
     bitgen = np.random.Philox(seq)
     gen = np.random.Generator(bitgen)
@@ -355,13 +357,13 @@ def _philox_rows(master_seed, chunk_index, stream, rows, m, buf):
             gen.random(draw % 4)
 
     def read(live, step):
-        if m <= _BLOCK and step == 0 and live.size == rows:
+        out = buf[:rows, :min(_BLOCK, m - step)]
+        if m <= _BLOCK:
             seek(0)
-            return gen.random(out=buf[:rows])  # whole rows in one call
-        out = buf[:live.size, :min(_BLOCK, m - step)]
-        for i, r in enumerate(live.tolist()):
+            return gen.random(out=out)  # whole rows in one call
+        for r in live.tolist():
             seek(r * m + step)
-            gen.random(out=out[i])
+            gen.random(out=out[r])
         return out
 
     return read

@@ -143,6 +143,10 @@ MUTANTS = {
         "src/rumour/clt.py", '"u": (1.0 - p.delta) * (1.0 - x)', '"u": (1.0 - x)'),
     "t_inf: finite check removed": (
         "src/rumour/clt.py", "if not math.isfinite(t):", "if False:"),
+    "window: a round reads the window's rows, not the chunk's": (
+        "src/rumour/simulate.py", "at = live[act]", "at = act"),
+    "Philox reader: live row r written one row up": (
+        "src/rumour/simulate.py", "gen.random(out=out[r])", "gen.random(out=out[r - 1])"),
 }
 
 

@@ -152,9 +152,7 @@ def exact_probs_by_slices(n: int, params: ModelParams) -> np.ndarray:
         top = n + 1 - x
         w0, w1, w2, w3 = rate_weights(x, np.arange(1, top + 1), n, params)
         w = w0 + w1 + w2 + w3
-        # w = 0 only where no move is possible: that mass stays put
-        p0, p1, p2, p3 = (np.divide(wk, w, out=np.zeros_like(w), where=w > 0)
-                          for wk in (w0, w1, w2, w3))
+        p0, p1, p2, p3 = (wk / w for wk in (w0, w1, w2, w3))
         for y in range(top, 0, -1):
             v = cur[y]
             # at y = 1, p2 = 0: the zero share wraps to row n + 1, which is

@@ -34,9 +34,10 @@ distinct_widths).
 Checks of many rows run once more with the kernel's own choice of width
 and its thresholds lowered, so that rows absorb in single steps and the
 windows that follow read the blocks at the survivors' rows.
-The Philox block reader is checked against the
-whole-matrix draw it replaces, writing every block into one reused
-buffer.
+The test reader puts NaN in every block row that is not live, so every
+case also checks that the kernel reads only the live rows.  The Philox
+block reader is checked against the whole-matrix draw it replaces,
+writing every live row r into row r of one reused buffer.
 """
 
 import functools
@@ -128,10 +129,18 @@ def path_time(u_hold, wsums):
 
 def reader(sel, hold):
     """The kernel's read over explicit uniform arrays, simulate._BLOCK
-    columns at a time."""
+    columns at a time: row r of each block is row r of the arrays for
+    every live row r, and NaN in every other row, so a kernel that read a
+    row no longer live would leave its path (NaN selects no move below
+    w3, and makes the time NaN)."""
     def read(live, step):
         cols = slice(step, step + simulate._BLOCK)
-        return sel[live, cols], None if hold is None else hold[live, cols]
+
+        def block(u):
+            out = np.full(u[:, cols].shape, np.nan)
+            out[live] = u[live, cols]
+            return out
+        return block(sel), None if hold is None else block(hold)
     return read
 
 
@@ -299,8 +308,8 @@ def test_kernel_thresholds_to_the_last_bit(want_time):
 @pytest.mark.parametrize("block", BLOCKS)
 def test_philox_reader_matches_whole_matrix(block, monkeypatch):
     # Row r of chunk c reads uniforms r*m ... r*m + m - 1 of the chunk's
-    # stream, in blocks from any column, for any subset of rows, each
-    # written into the same buffer.
+    # stream, in blocks from any column, for any subset of rows, into row
+    # r of the same buffer.
     monkeypatch.setattr(simulate, "_BLOCK", block)
     rng = rng_for("kernel-contract-philox")
     rows = 9
@@ -322,8 +331,9 @@ def test_philox_reader_matches_whole_matrix(block, monkeypatch):
                                           replace=False))
                 got = read(live, step)
                 assert np.shares_memory(got, buf)
-                assert got.shape == (live.size, min(block, m - step))
-                assert np.array_equal(got, whole[live, step:step + block]), (m, block, step)
+                assert got.shape == (rows, min(block, m - step))
+                assert np.array_equal(got[live], whole[live, step:step + block]), \
+                    (m, block, step)
 
 
 @pytest.mark.parametrize("mode", ["jump-chain", "exact-time"])
