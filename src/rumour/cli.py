@@ -13,6 +13,9 @@ output is deterministic: fixed key order, floats at 17 significant
 digits.  Monte Carlo chunks run in order on one thread; --workers is
 accepted and ignored.
 
+Each command returns its exit code and its JSON object or CSV text; main
+renders an object behind a header of the --preset echo and the parameters.
+
 Exit codes: 0 success / verification pass, 1 verification failure,
 2 usage or parameter-validation error.
 """
@@ -179,20 +182,28 @@ def _sim_config(given: dict, min_reps: int) -> tuple[int, int, int, str]:
     return n, reps, seed, mode
 
 
-# Each command takes (ns, settings, params, header) and returns (exit
-# code, text); main writes the text to stdout or --output.  settings is
-# what the command's settings reader returned (None if it has none).
+def _csv(rows: list[dict]) -> str:
+    """A header row of the first row's keys, then each row's values at 17
+    significant digits (an int prints as itself)."""
+    lines = [",".join(rows[0])] + [",".join(f"{v:.17g}" for v in r.values()) for r in rows]
+    return "\n".join(lines) + "\n"
 
 
-def cmd_limit(ns, settings, params, header) -> tuple[int, str]:
-    return 0, jsonio.dumps({**header, **limits_mod.solve_x_infinity(params).to_json_obj()})
+# Each command takes (ns, settings, params) and returns (exit code, its
+# JSON object or CSV text); main renders the object behind the header and
+# writes the text to stdout or --output.  settings is what the command's
+# settings reader returned (None if it has none).
 
 
-def cmd_clt(ns, settings, params, header) -> tuple[int, str]:
+def cmd_limit(ns, settings, params):
+    return 0, limits_mod.solve_x_infinity(params).to_json_obj()
+
+
+def cmd_clt(ns, settings, params):
     lim = limits_mod.solve_x_infinity(params)
     consts = clt_mod.clt_constants(params, lim)
     sigma = clt_mod.sigma_matrix(consts, params, lim)
-    obj = {**header, "x_inf": lim.x_inf, "u_inf": lim.u_inf, "kappa": consts.kappa,
+    obj = {"x_inf": lim.x_inf, "u_inf": lim.u_inf, "kappa": consts.kappa,
            "A": consts.a, "B": consts.b, "C": consts.c, "D": consts.d,
            "sigma": sigma.to_json_obj(), "t_inf": clt_mod.t_infinity(params, lim)}
     if params.delta == 1.0:
@@ -201,10 +212,10 @@ def cmd_clt(ns, settings, params, header) -> tuple[int, str]:
         closed = clt_mod.lambda_matrix(params, lim, consts)
         ode = clt_mod.numerical_lambda_via_ode(params, lim)
         obj["cross_check"] = {"max_abs_deviation": float(np.abs(closed - ode).max())}
-    return 0, jsonio.dumps(obj)
+    return 0, obj
 
 
-def cmd_fluid(ns, settings, params, header) -> tuple[int, str]:
+def cmd_fluid(ns, settings, params):
     if ns.points < 2:
         raise UsageError("--points must be >= 2")
     t_inf = clt_mod.t_infinity(params, limits_mod.solve_x_infinity(params))
@@ -213,14 +224,10 @@ def cmd_fluid(ns, settings, params, header) -> tuple[int, str]:
     if not 0.0 <= t_max <= t_inf:
         raise UsageError(f"--t-max must be in [0, t_inf = {t_inf!r}], got {t_max}")
     rows = clt_mod.fluid_trajectory(np.linspace(0.0, t_max, ns.points), params)
-    if ns.format == "csv":
-        lines = ["t,x,u,y"]
-        lines += [f"{r['t']:.17g},{r['x']:.17g},{r['u']:.17g},{r['y']:.17g}" for r in rows]
-        return 0, "\n".join(lines) + "\n"
-    return 0, jsonio.dumps({**header, "t_inf": t_inf, "points": rows})
+    return 0, _csv(rows) if ns.format == "csv" else {"t_inf": t_inf, "points": rows}
 
 
-def cmd_simulate(ns, settings, params, header) -> tuple[int, str]:
+def cmd_simulate(ns, settings, params):
     n, reps, seed, mode = settings
     # --output is open by now; the summary would overwrite a dump written
     # to the same regular file (a device such as /dev/null takes both)
@@ -245,7 +252,7 @@ def cmd_simulate(ns, settings, params, header) -> tuple[int, str]:
     else:
         for _ in folded():
             pass
-    obj = {**header, "mode": mode, "stats": stats.to_json_obj()}
+    obj = {"mode": mode, "stats": stats.to_json_obj()}
     if reps >= 1:
         obj["mean_x"] = stats.mean_x()
         obj["mean_u"] = stats.mean_u()
@@ -253,43 +260,39 @@ def cmd_simulate(ns, settings, params, header) -> tuple[int, str]:
         obj["sigma_emp"] = stats.cov_sqrt_n().to_json_obj()
     if mode == "exact-time" and reps >= 1:
         obj["mean_absorption_time"] = tau_sum / reps
-    return 0, jsonio.dumps(obj)
+    return 0, obj
 
 
-def cmd_verify(ns, settings, params, header) -> tuple[int, str]:
+def cmd_verify(ns, settings, params):
     n, reps, seed, mode = settings
     lim = limits_mod.solve_x_infinity(params)
     consts = clt_mod.clt_constants(params, lim)
     sigma = clt_mod.sigma_matrix(consts, params, lim)
     stats = sim_mod.monte_carlo(n, reps, params, seed)
     report = sim_mod.verify(stats, lim, sigma)
-    obj = {**header, "master_seed": seed, "mode": mode, **report.to_json_obj()}
-    return (0 if report.passed else 1), jsonio.dumps(obj)
+    return (0 if report.passed else 1), {"master_seed": seed, "mode": mode,
+                                         **report.to_json_obj()}
 
 
-def cmd_oracle(ns, n, params, header) -> tuple[int, str]:
+def cmd_oracle(ns, n, params):
     probs = sim_mod.exact_final_distribution(n, params)
     xs, us = np.nonzero(probs)  # (x, u) in row-major order
     rows = [{"x": x, "u": u, "p": p}
             for x, u, p in zip(xs.tolist(), us.tolist(), probs[xs, us].tolist())]
-    if ns.format == "csv":
-        lines = ["x,u,p"]
-        lines += [f"{r['x']},{r['u']},{r['p']:.17g}" for r in rows]
-        return 0, "\n".join(lines) + "\n"
-    return 0, jsonio.dumps({
-        **header, "n": n, "total_mass": float(probs.sum()),
+    return 0, _csv(rows) if ns.format == "csv" else {
+        "n": n, "total_mass": float(probs.sum()),
         "mean_x": float(probs.sum(axis=1) @ np.arange(n + 1)) / n,
-        "mean_u": float(probs.sum(axis=0) @ np.arange(n + 2)) / n, "support": rows})
+        "mean_u": float(probs.sum(axis=0) @ np.arange(n + 2)) / n, "support": rows}
 
 
-def cmd_presets(ns, settings, params, header) -> tuple[int, str]:
+def cmd_presets(ns, settings, params):
     entries = []
     for name, info in sorted(PRESETS.items()):
         entry = {"name": name, "aux": list(info.aux), "mapping": info.mapping}
         if not info.aux:
             entry["params"] = preset_params(name).to_json_obj()
         entries.append(entry)
-    return 0, jsonio.dumps({"presets": entries})
+    return 0, {"presets": entries}
 
 
 _SIM_FLAGS = (
@@ -370,8 +373,8 @@ def main(argv=None) -> int:
         if unread:
             raise UsageError(f"{ns.command} does not read {', '.join(unread)}")
         with _output(ns.output) as write:
-            code, text = command(ns, settings, params, header)
-            write(text)
+            code, out = command(ns, settings, params)
+            write(out if isinstance(out, str) else jsonio.dumps(header | out))
         return code
     except (UsageError, RumourError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -18,7 +18,6 @@ bytes.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from itertools import chain
@@ -28,12 +27,6 @@ import numpy as np
 
 # Spaces per nesting level; part of the byte-identical output.
 INDENT = 2
-
-
-@functools.lru_cache(maxsize=1024)
-def _key(k: str) -> str:
-    """JSON text of a str key; keys repeat across the rows of a table."""
-    return json.dumps(k)
 
 
 def _float(x: float) -> str:
@@ -49,7 +42,7 @@ def _dict(obj: dict, level: int) -> str:
         return "{}"
     pad_in = " " * (INDENT * (level + 1))
     items = ",\n".join([
-        f"{pad_in}{_key(k) if type(k) is str else json.dumps(str(k))}: {_render(v, level + 1)}"
+        f"{pad_in}{json.dumps(str(k))}: {_render(v, level + 1)}"
         for k, v in obj.items()])
     return "{\n" + items + "\n" + pad_in[INDENT:] + "}"
 
@@ -77,7 +70,7 @@ def _table(rows, pad: str) -> str | None:
         return None
     pad_v = pad + " " * INDENT
     row = pad + "{\n" + ",\n".join([
-        f"{pad_v}{_key(k).replace('%', '%%')}: {'%d' if t is int else '%.17g'}"
+        f"{pad_v}{json.dumps(k).replace('%', '%%')}: {'%d' if t is int else '%.17g'}"
         for k, t in zip(keys, types)]) + "\n" + pad + "}"
     return ",\n".join([row] * len(rows)) % tuple(vals)
 

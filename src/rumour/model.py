@@ -101,13 +101,8 @@ class ModelParams:
     def from_json_obj(cls, obj: dict) -> "ModelParams":
         """Inverse of to_json_obj: the flat five-key form."""
         try:
-            return cls(
-                lam=float(obj["lambda"]),
-                gamma=float(obj["gamma"]),
-                theta1=float(obj["theta1"]),
-                theta2=float(obj["theta2"]),
-                delta=float(obj["delta"]),
-            )
+            return cls(lam=obj["lambda"], gamma=obj["gamma"], theta1=obj["theta1"],
+                       theta2=obj["theta2"], delta=obj["delta"])
         except KeyError as e:
             raise ConstraintViolation(f"missing parameter key {e.args[0]!r}") from None
 

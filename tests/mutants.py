@@ -70,7 +70,7 @@ MUTANTS = {
     "JSON table: 16 digits": (
         "src/rumour/jsonio.py", "else '%.17g'", "else '%.16g'"),
     "JSON table: % in keys unescaped": (
-        "src/rumour/jsonio.py", "_key(k).replace('%', '%%')", "_key(k)"),
+        "src/rumour/jsonio.py", "json.dumps(k).replace('%', '%%')", "json.dumps(k)"),
     "A: gamma * x in the denominator": (
         "src/rumour/clt.py", "/ (g - (g + d) * x)", "/ (g - g * x)"),
     "Sigma: s12 - A * B": (
@@ -137,6 +137,10 @@ MUTANTS = {
         "src/rumour/model.py", "q1 + q2 <= 1,", "q1 + q2 <= 2,"),
     "model: theta1 + theta2 = 0 admitted": (
         "src/rumour/model.py", "self.theta1 + self.theta2 > 0", "self.theta1 + self.theta2 >= 0"),
+    "CLI: header after the command's keys": (
+        "src/rumour/cli.py", "jsonio.dumps(header | out)", "jsonio.dumps(out | header)"),
+    "CSV: no header row": (
+        "src/rumour/cli.py", '[",".join(rows[0])] +', ""),
     "oracle: mean_x over n + 1": (
         "src/rumour/cli.py", "@ np.arange(n + 1)) / n,", "@ np.arange(n + 1)) / (n + 1),"),
     "fluid: u without its factor 1 - delta": (

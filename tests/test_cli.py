@@ -364,6 +364,21 @@ class TestOracleAndPresets:
         assert by_name["apq_dk"]["aux"] == ["alpha", "p", "q"]
 
 
+def test_header_leads_every_object(capsys):
+    # the --preset echo and the parameters come before the command's keys
+    apq = ("--preset", "apq_dk", "--alpha", "0.8", "--p", "0.7", "--q", "0.5")
+    calls = (("limit",), ("clt",), ("fluid", "--points", "3"), ("oracle", "--n", "3"),
+             ("simulate", "--n", "20", "--reps", "3"), ("verify", "--n", "20", "--reps", "2"))
+    for call in calls:
+        for model, lead in ((apq, ["preset", "params"]), (TestFluid.EXPLICIT, ["params"])):
+            code, out, err = run_cli(capsys, *call, *model)
+            assert code in (0, 1), err  # a verify at N = 20 may fail its checks
+            keys = list(json.loads(out))
+            assert keys[:len(lead)] == lead, (call, model)
+            assert not {"preset", "params"} & set(keys[len(lead):]), (call, model)
+    assert list(run_json(capsys, "presets")) == ["presets"]
+
+
 class TestConfigAndOutput:
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
